@@ -17,6 +17,7 @@
 #include <string>
 
 #include "core/hybrid_solver.h"
+#include "core/options.h"
 #include "gen/benchmarks.h"
 
 namespace hyqsat::bench {
@@ -65,9 +66,7 @@ inline core::HybridConfig
 noiseFreeConfig(std::uint64_t seed = 0x5eedba5e)
 {
     core::HybridConfig cfg;
-    cfg.annealer.noise = anneal::NoiseModel::noiseFree();
-    cfg.annealer.greedy_finish = true;
-    cfg.annealer.attempts = 2;
+    core::useNoiseFreeDevice(cfg);
     cfg.seed = seed;
     applySamplerEnv(cfg);
     return cfg;
@@ -78,13 +77,7 @@ inline core::HybridConfig
 noisyConfig(std::uint64_t seed = 0x2000aced)
 {
     core::HybridConfig cfg;
-    cfg.annealer.noise = anneal::NoiseModel::dwave2000q();
-    // A physical annealer relaxes into a local minimum of the
-    // (noise-perturbed) final Hamiltonian, so the device model ends
-    // with a zero-temperature descent; control noise and readout
-    // errors still apply.
-    cfg.annealer.greedy_finish = true;
-    cfg.annealer.attempts = 1;
+    core::useNoisyDevice(cfg);
     cfg.seed = seed;
     applySamplerEnv(cfg);
     return cfg;

@@ -3,70 +3,34 @@
  * Example: a command-line DIMACS solver front door, so the library
  * interoperates with standard SAT tooling. Reads a CNF file, solves
  * it with HyQSAT (or plain CDCL with --classic) and prints the
- * result in SAT-competition style ("s SATISFIABLE" + "v" lines).
+ * result in SAT-competition style ("s SATISFIABLE" + "v" lines; exit
+ * 10 SAT, 20 UNSAT, 0 UNKNOWN, 2 on bad usage). Run it without
+ * arguments for the flag list; the solver knobs are documented with
+ * their table in core/options.h.
  *
- *   ./build/examples/dimacs_solver problem.cnf [--classic]
- *       [--noisy] [--warmup N] [--sampler=NAME] [--depth N]
- *       [--num-reads N] [--reads-batch] [--reads-groups N]
- *       [--topology=NAME]
- *       [--timeout-s X] [--conflicts N]
- *       [--simplify[=<off|light|full>]] [--metrics FILE]
- *       [--trace FILE] [--no-frontend-cache]
- *       [--incremental-tracking]
- *
- * --simplify selects the inprocessing strength (bare --simplify =
- * light): light runs the equivalence-preserving passes (units, SCC
- * equivalent literals, subsumption), full adds failed-literal
- * probing, vivification and bounded variable elimination; models
- * are reconstructed back to the input variables either way. The
- * hybrid path inprocesses inside HybridSolver (so the annealer
+ * The hybrid path inprocesses inside HybridSolver (so the annealer
  * frontend sees the reduced formula); --classic preprocesses here
- * and extends the model afterwards.
- *
- * --sampler selects the annealing backend by name (sync, qa,
- * logical, sa, batch, async, async:<backend>); --depth >= 2 enables
- * the asynchronous pipeline on any backend. --num-reads N draws N
- * independent annealing chains per device call (raced across the
- * shared worker pool, best energy kept first), mirroring a real
- * QPU's num_reads knob; read 1 is always bit-identical to a
- * single-read run, so extra reads can only improve the sample.
- * --reads-batch runs those reads through the lockstep SIMD batch
- * kernel instead of worker threads (its own determinism contract,
- * see src/anneal/sa_batch.h) and --reads-groups N splits the batch
- * into N parallel lockstep groups fanned across the shared WorkPool
- * (0 = auto: groups of up to 8 lanes), compounding the per-core
- * vector speedup with core count without changing results.
- * --topology picks the hardware graph family (chimera, the D-Wave
- * 2000Q default; the higher-degree pegasus fabric whose skip
- * couplers shorten chains; or zephyr, which adds a third coupler
- * distance on top of pegasus's fabric). --timeout-s bounds the
- * run by wall clock (a watchdog thread trips the cooperative stop
- * token every layer observes) and --conflicts by conflict count;
- * either prints "s UNKNOWN" when it fires. --metrics dumps the
- * run's metrics registry as JSON ("hyqsat.metrics/1" schema);
- * --trace streams JSONL events (restarts, pipeline stalls, backend
- * outcomes) as they happen. --no-frontend-cache disables the
- * frontend's (embedding, encoding) memoization (ablation knob;
- * results are bit-identical either way) and --incremental-tracking
- * switches the solver to incremental satisfied-clause counters
- * instead of O(clauses) scans.
+ * and extends the model afterwards. --timeout-s arms a watchdog
+ * thread that trips the cooperative stop token every layer observes;
+ * it and --conflicts print "s UNKNOWN" when they fire.
  */
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <memory>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/hybrid_solver.h"
+#include "core/options.h"
 #include "sat/dimacs.h"
 #include "simplify/pipeline.h"
 #include "util/cancel.h"
+#include "util/cli.h"
 #include "util/metrics.h"
 
 using namespace hyqsat;
@@ -74,126 +38,36 @@ using namespace hyqsat;
 int
 main(int argc, char **argv)
 {
-    if (argc < 2) {
-        std::string names;
-        for (const auto &n : anneal::samplerNames())
-            names += (names.empty() ? "" : "|") + n;
-        std::printf("usage: %s problem.cnf [--classic] [--noisy] "
-                    "[--warmup N] [--sampler=%s] [--depth N] "
-                    "[--num-reads N] [--reads-batch] "
-                    "[--reads-groups N] "
-                    "[--topology=chimera|pegasus|zephyr] "
-                    "[--timeout-s X] [--conflicts N] "
-                    "[--simplify[=off|light|full]] "
-                    "[--metrics FILE] [--trace FILE] "
-                    "[--no-frontend-cache] [--incremental-tracking]\n",
-                    argv[0], names.c_str());
+    core::HybridConfig config;
+    core::useNoiseFreeDevice(config);
+    bool classic = false;
+    double timeout_s = 0.0;
+    std::vector<std::string> operands;
+    CommandLine cli("problem.cnf", [&](std::string_view arg) {
+        operands.emplace_back(arg);
+        return operands.size() == 1;
+    });
+    cli.toggle("classic", classic);
+    core::addKnobFlags(cli, config, core::Knob::Scope::Solo);
+    cli.real("timeout-s", timeout_s);
+    cli.number("conflicts", config.solver.conflict_budget,
+               std::int64_t{-1},
+               std::numeric_limits<std::int64_t>::max());
+    MetricsFiles files(cli, "c ");
+    if (!cli.parse(argc, argv))
+        return 2;
+    if (operands.empty()) {
+        std::printf("%s\n", cli.usage(argv[0]).c_str());
         return 2;
     }
-    const std::string path = argv[1];
-    bool classic = false, noisy = false;
-    simplify::Strength strength = simplify::Strength::Off;
-    std::int64_t warmup = -1;
-    std::string sampler = "sync";
-    int depth = 1;
-    int num_reads = 1;
-    bool reads_batch = false;
-    int reads_groups = 0;
-    topology::Kind topo = topology::Kind::Chimera;
-    double timeout_s = 0.0;
-    std::int64_t conflict_budget = -1;
-    bool frontend_cache = true, incremental_tracking = false;
-    std::string metrics_path, trace_path;
-    for (int i = 2; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--classic"))
-            classic = true;
-        else if (!std::strcmp(argv[i], "--noisy"))
-            noisy = true;
-        else if (!std::strcmp(argv[i], "--simplify"))
-            strength = simplify::Strength::Light;
-        else if (!std::strncmp(argv[i], "--simplify=", 11)) {
-            if (!simplify::parseStrength(argv[i] + 11, strength)) {
-                std::printf("c bad --simplify level: %s (expected "
-                            "off, light or full)\n",
-                            argv[i] + 11);
-                return 2;
-            }
-        }
-        else if (!std::strcmp(argv[i], "--warmup") && i + 1 < argc)
-            warmup = std::atoll(argv[++i]);
-        else if (!std::strncmp(argv[i], "--sampler=", 10))
-            sampler = argv[i] + 10;
-        else if (!std::strcmp(argv[i], "--sampler") && i + 1 < argc)
-            sampler = argv[++i];
-        else if (!std::strcmp(argv[i], "--depth") && i + 1 < argc)
-            depth = std::atoi(argv[++i]);
-        else if (!std::strcmp(argv[i], "--num-reads") && i + 1 < argc)
-            num_reads = std::atoi(argv[++i]);
-        else if (!std::strcmp(argv[i], "--reads-batch"))
-            reads_batch = true;
-        else if (!std::strcmp(argv[i], "--reads-groups") &&
-                 i + 1 < argc)
-            reads_groups = std::atoi(argv[++i]);
-        else if (!std::strncmp(argv[i], "--topology=", 11)) {
-            const auto kind = topology::parseKind(argv[i] + 11);
-            if (!kind) {
-                std::printf("c bad --topology: %s (expected chimera, "
-                            "pegasus or zephyr)\n",
-                            argv[i] + 11);
-                return 2;
-            }
-            topo = *kind;
-        }
-        else if (!std::strcmp(argv[i], "--topology") && i + 1 < argc) {
-            const auto kind = topology::parseKind(argv[++i]);
-            if (!kind) {
-                std::printf("c bad --topology: %s (expected chimera, "
-                            "pegasus or zephyr)\n",
-                            argv[i]);
-                return 2;
-            }
-            topo = *kind;
-        }
-        else if (!std::strcmp(argv[i], "--timeout-s") && i + 1 < argc)
-            timeout_s = std::atof(argv[++i]);
-        else if (!std::strcmp(argv[i], "--conflicts") && i + 1 < argc)
-            conflict_budget = std::atoll(argv[++i]);
-        else if (!std::strcmp(argv[i], "--metrics") && i + 1 < argc)
-            metrics_path = argv[++i];
-        else if (!std::strcmp(argv[i], "--trace") && i + 1 < argc)
-            trace_path = argv[++i];
-        else if (!std::strcmp(argv[i], "--no-frontend-cache"))
-            frontend_cache = false;
-        else if (!std::strcmp(argv[i], "--incremental-tracking"))
-            incremental_tracking = true;
-    }
+    const std::string &path = operands[0];
+    const simplify::Strength strength = config.simplify_strength;
 
     // One registry for the whole run; the solve layers merge their
-    // per-solve registries into it on the way out. The trace sink
-    // streams JSONL live (events appear even if the run is killed).
+    // per-solve registries into it on the way out.
     MetricsRegistry registry;
-    std::unique_ptr<TraceSink> trace_sink;
-    if (!trace_path.empty()) {
-        trace_sink = std::make_unique<TraceSink>(trace_path);
-        if (!trace_sink->ok()) {
-            std::printf("c cannot open trace file %s\n",
-                        trace_path.c_str());
-            return 2;
-        }
-        registry.setTrace(trace_sink.get());
-    }
-    const auto write_metrics = [&] {
-        if (metrics_path.empty())
-            return;
-        std::ofstream out(metrics_path);
-        if (!out) {
-            std::printf("c cannot open metrics file %s\n",
-                        metrics_path.c_str());
-            return;
-        }
-        registry.writeJson(out);
-        std::printf("c wrote metrics to %s\n", metrics_path.c_str());
-    };
+    if (!files.open(registry))
+        return 2;
 
     const auto parsed = sat::parseDimacsFile(path);
     if (!parsed) {
@@ -222,7 +96,7 @@ main(int argc, char **argv)
                     pre.stats.equivalences, pre.stats.eliminated,
                     pre.cnf.numClauses());
         if (!pre.satisfiable_possible) {
-            write_metrics();
+            files.write(registry);
             std::printf("s UNSATISFIABLE\n");
             return 20;
         }
@@ -265,40 +139,18 @@ main(int argc, char **argv)
     core::HybridResult result;
     if (classic) {
         auto opts = sat::SolverOptions::minisatStyle();
-        opts.conflict_budget = conflict_budget;
+        opts.conflict_budget = config.solver.conflict_budget;
         result = core::solveClassicCdcl(cnf, opts, &stop, &registry);
     } else {
-        core::HybridConfig config;
         config.stop = &stop;
         config.metrics = &registry;
-        config.solver.conflict_budget = conflict_budget;
-        config.solver.incremental_clause_tracking =
-            incremental_tracking;
-        config.frontend.cache_embeddings = frontend_cache;
-        if (noisy) {
-            config.annealer.noise = anneal::NoiseModel::dwave2000q();
-        } else {
-            config.annealer.noise = anneal::NoiseModel::noiseFree();
-            config.annealer.greedy_finish = true;
-            config.annealer.attempts = 2;
-        }
-        config.warmup_override = warmup;
-        config.simplify_strength = strength;
-        config.sampler = sampler;
-        config.pipeline_depth = std::max(depth, 1);
-        config.num_reads = std::max(num_reads, 1);
-        config.reads_batch = reads_batch;
-        config.reads_groups = std::max(reads_groups, 0);
-        config.topology = topo;
         core::HybridSolver solver(config);
         result = solver.solve(cnf);
-        std::printf("c sampler=%s depth=%d num_reads=%d "
-                    "reads_batch=%d reads_groups=%d topology=%s "
-                    "simplify=%s\n",
-                    config.sampler.c_str(), config.pipeline_depth,
-                    config.num_reads, reads_batch ? 1 : 0,
-                    config.reads_groups, topology::kindName(topo),
-                    simplify::strengthName(strength));
+        std::printf("c");
+        for (const auto &[key, value] :
+             core::echoKnobs(config, core::Knob::Scope::Solo))
+            std::printf(" %s=%s", key.c_str(), value.c_str());
+        std::printf("\n");
         std::printf("c %d QA samples applied over %d warm-up "
                     "iterations (%d submitted, %d stale, %d stalls)\n",
                     result.qa_samples, result.warmup_iterations,
@@ -325,7 +177,7 @@ main(int argc, char **argv)
                     result.stats.iterations),
                 static_cast<unsigned long long>(
                     result.stats.conflicts));
-    write_metrics();
+    files.write(registry);
     if (result.status.isTrue()) {
         if (preprocess)
             result.model = pre.extendModel(result.model);

@@ -12,6 +12,7 @@
 #include <cstdlib>
 
 #include "core/hybrid_solver.h"
+#include "core/options.h"
 #include "gen/factorization.h"
 
 using namespace hyqsat;
@@ -32,9 +33,7 @@ main(int argc, char **argv)
                 cnf.numVars(), cnf.numClauses());
 
     core::HybridConfig config;
-    config.annealer.noise = anneal::NoiseModel::noiseFree();
-    config.annealer.greedy_finish = true;
-    config.annealer.attempts = 2;
+    core::useNoiseFreeDevice(config);
     core::HybridSolver solver(config);
     const auto result = solver.solve(sat::toThreeSat(cnf));
 

@@ -10,6 +10,7 @@
 #include <cstdlib>
 
 #include "core/hybrid_solver.h"
+#include "core/options.h"
 #include "gen/graph_coloring.h"
 
 using namespace hyqsat;
@@ -31,9 +32,7 @@ main(int argc, char **argv)
                 cnf.numVars(), cnf.numClauses());
 
     core::HybridConfig config;
-    config.annealer.noise = anneal::NoiseModel::noiseFree();
-    config.annealer.greedy_finish = true;
-    config.annealer.attempts = 2;
+    core::useNoiseFreeDevice(config);
     core::HybridSolver solver(config);
     const auto result = solver.solve(cnf);
 

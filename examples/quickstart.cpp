@@ -13,6 +13,7 @@
 #include <cstdlib>
 
 #include "core/hybrid_solver.h"
+#include "core/options.h"
 #include "gen/random_sat.h"
 
 using namespace hyqsat;
@@ -43,9 +44,7 @@ main(int argc, char **argv)
 
     // --- HyQSAT: CDCL + simulated quantum annealer warm-up.
     core::HybridConfig config;
-    config.annealer.noise = anneal::NoiseModel::noiseFree();
-    config.annealer.greedy_finish = true;
-    config.annealer.attempts = 2;
+    core::useNoiseFreeDevice(config);
     core::HybridSolver hybrid(config);
     const auto result = hybrid.solve(cnf);
 

@@ -3,17 +3,12 @@
  * Example: line-protocol client for solver_daemon. Reads DIMACS
  * files into memory, streams them to the daemon as SUBMIT bodies
  * (the formula never touches the daemon's filesystem), WAITs for
- * each result, and prints the familiar batch table.
+ * each result, and prints the familiar batch table. Run it without
+ * arguments for the flag list.
  *
- *   ./build/examples/service_client --connect unix:/tmp/hyqsat.sock
- *       [files...] [--tenant NAME] [--priority N]
- *       [--simplify off|light|full] [--metrics]
- *       [--session] [--assume "LITS"]...
- *       [--shutdown [finish|cancel]] [--strict] [--quiet]
- *
- * --simplify attaches the optional simplify=<level> token to every
- * SUBMIT, overriding the daemon's default inprocessing strength for
- * these jobs.
+ * The session-scope solver knobs (--simplify, see core/options.h)
+ * ride along as `key=value` tokens on every SUBMIT / OPEN,
+ * overriding the daemon's defaults for these jobs.
  *
  * --session switches to the incremental verbs: one session is
  * OPENed, every file is ADDed into it, then each --assume "1 -2 3"
@@ -40,11 +35,14 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/options.h"
 #include "service/protocol.h"
+#include "util/cli.h"
 
 using namespace hyqsat;
 
@@ -159,7 +157,6 @@ int
 main(int argc, char **argv)
 {
     std::string connect_spec, tenant = "default";
-    std::string simplify_level;
     std::vector<std::string> paths;
     std::vector<std::string> assume_sets;
     int priority = 0;
@@ -168,66 +165,50 @@ main(int argc, char **argv)
     bool strict = false, quiet = false;
     service::DrainPolicy shutdown_policy =
         service::DrainPolicy::FinishQueued;
+    core::KnobValues overrides; // sent as key=value tokens
 
-    for (int i = 1; i < argc; ++i) {
-        const auto arg = [&](const char *name) {
-            return !std::strcmp(argv[i], name) && i + 1 < argc;
-        };
-        if (arg("--connect")) {
-            connect_spec = argv[++i];
-        } else if (arg("--tenant")) {
-            tenant = argv[++i];
-        } else if (arg("--priority")) {
-            priority = std::atoi(argv[++i]);
-        } else if (arg("--simplify")) {
-            simplify_level = argv[++i];
-            if (simplify_level != "off" &&
-                simplify_level != "light" &&
-                simplify_level != "full") {
-                std::fprintf(stderr,
-                             "bad --simplify level: %s (expected "
-                             "off, light or full)\n",
-                             simplify_level.c_str());
-                return 2;
-            }
-        } else if (!std::strcmp(argv[i], "--metrics")) {
-            want_metrics = true;
-        } else if (!std::strcmp(argv[i], "--session")) {
-            use_session = true;
-        } else if (arg("--assume")) {
-            assume_sets.push_back(argv[++i]);
-        } else if (!std::strcmp(argv[i], "--shutdown")) {
-            want_shutdown = true;
-            if (i + 1 < argc && (!std::strcmp(argv[i + 1], "finish") ||
-                                 !std::strcmp(argv[i + 1], "cancel"))) {
-                ++i;
-                if (!std::strcmp(argv[i], "cancel"))
-                    shutdown_policy =
-                        service::DrainPolicy::CancelPending;
-            }
-        } else if (!std::strcmp(argv[i], "--strict")) {
-            strict = true;
-        } else if (!std::strcmp(argv[i], "--quiet")) {
-            quiet = true;
-        } else if (argv[i][0] == '-') {
-            std::fprintf(stderr, "unknown option %s\n", argv[i]);
-            return 2;
-        } else {
-            paths.push_back(argv[i]);
-        }
+    CommandLine cli("[files...]", [&](std::string_view path) {
+        paths.emplace_back(path);
+        return true;
+    });
+    cli.text("connect", "unix:PATH|tcp:PORT", connect_spec);
+    cli.text("tenant", "NAME", tenant);
+    cli.number("priority", priority, std::numeric_limits<int>::min(),
+               std::numeric_limits<int>::max());
+    constexpr auto kSession = core::Knob::Scope::Session;
+    for (const core::Knob *k : core::knobs(kSession)) {
+        cli.add(k->name, k->syntax, [&overrides, k](std::string_view v) {
+            return core::parseKnobSetting(k->key() + '=' + std::string(v),
+                                          kSession, overrides);
+        });
     }
-
+    cli.toggle("metrics", want_metrics);
+    cli.toggle("session", use_session);
+    cli.add("assume", "\"LITS\"", [&](std::string_view lits) {
+        assume_sets.emplace_back(lits);
+        return true;
+    });
+    cli.add(
+        "shutdown", "finish|cancel",
+        [&](std::string_view word) {
+            const auto policy = service::parseDrainPolicy(word);
+            want_shutdown = policy.has_value();
+            shutdown_policy = policy.value_or(shutdown_policy);
+            return want_shutdown;
+        },
+        CommandLine::Arity::Optional, "finish");
+    cli.toggle("strict", strict);
+    cli.toggle("quiet", quiet);
+    if (!cli.parse(argc, argv))
+        return 2;
     if (connect_spec.empty() ||
         (paths.empty() && !want_metrics && !want_shutdown)) {
-        std::printf(
-            "usage: %s --connect unix:PATH|tcp:PORT [files...] "
-            "[--tenant NAME] [--priority N] "
-            "[--simplify off|light|full] [--metrics] "
-            "[--session] [--assume \"LITS\"]... "
-            "[--shutdown [finish|cancel]] [--strict] [--quiet]\n",
-            argv[0]);
+        std::printf("%s\n", cli.usage(argv[0]).c_str());
         return 2;
     }
+    std::string knob_tokens;
+    for (const auto &[key, value] : overrides)
+        knob_tokens += ' ' + key + '=' + value;
 
     const int fd = connectTo(connect_spec);
     if (fd < 0)
@@ -239,9 +220,7 @@ main(int argc, char **argv)
     if (use_session) {
         // Incremental mode: one OPEN, every file ADDed into the same
         // warm session, one SOLVE per assumption set, CORE on UNSAT.
-        std::string open_req = "OPEN " + tenant;
-        if (!simplify_level.empty())
-            open_req += " simplify=" + simplify_level;
+        const std::string open_req = "OPEN " + tenant + knob_tokens;
         if (!sendAll(fd, open_req + "\n") || !reader.readLine(line) ||
             line.rfind("OK ", 0) != 0) {
             std::fprintf(stderr, "open failed: %s\n", line.c_str());
@@ -347,10 +326,7 @@ main(int argc, char **argv)
         body << in.rdbuf();
         std::string request = "SUBMIT " + tenant + " " +
                               std::to_string(priority) + " " +
-                              baseName(paths[i]);
-        if (!simplify_level.empty())
-            request += " simplify=" + simplify_level;
-        request += "\n";
+                              baseName(paths[i]) + knob_tokens + "\n";
         request += body.str();
         if (request.empty() || request.back() != '\n')
             request += '\n';

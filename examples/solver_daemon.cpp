@@ -3,40 +3,18 @@
  * Example: the persistent solver daemon. Binds the service socket
  * front door (unix-domain or loopback TCP) to a multi-tenant
  * JobScheduler and runs until asked to stop — the long-running
- * counterpart of the one-shot batch_solver.
+ * counterpart of the one-shot batch_solver. Run it without
+ * arguments for the flag list.
  *
- *   ./build/examples/solver_daemon --socket /tmp/hyqsat.sock
- *       [--port N] [--jobs N] [--workers N] [--queue-depth N]
- *       [--tenant-depth N] [--timeout-s X] [--conflicts N]
- *       [--memory-mb M] [--sampler NAME] [--depth N]
- *       [--num-reads N] [--reads-batch] [--reads-groups N]
- *       [--topology NAME]
- *       [--simplify off|light|full] [--noisy]
- *       [--drain finish|cancel] [--metrics FILE] [--trace FILE]
- *       [--quiet]
- *
- * --simplify sets the default inprocessing strength applied to every
- * job; a client's SUBMIT may override it per job with the optional
- * simplify=<level> token. --topology chimera|pegasus|zephyr and
- * --reads-batch set the default hardware graph family and whether
- * multi-read anneals run the lockstep SIMD batch kernel, and
- * --reads-groups N how many parallel lockstep groups the batch
- * fans across the WorkPool (0 = auto: groups of up to 8 lanes); a
- * SUBMIT may override them with topology=<name> / reads_batch=<0|1>
- * / reads_groups=<n> tokens, and every report row echoes the
- * effective values.
- *
- * Clients speak the line protocol of service/protocol.h (SUBMIT /
- * WAIT / STATUS / METRICS / SHUTDOWN); the bundled service_client
- * is one such client, netcat is another. --jobs bounds concurrent
- * jobs, --workers the solver threads raced per job; --queue-depth /
- * --tenant-depth arm admission control (0 = unbounded).
- *
- * The incremental-session verbs (OPEN / ADD / ASSUME / SOLVE / CORE
- * / CLOSE) are served by a SessionManager sharing the same solver
- * configuration: a session keeps its learnt clauses, heuristics and
- * embedding caches warm across SOLVE calls. --sessions /
- * --tenant-sessions cap how many may be open at once (0 = unbounded).
+ * The solver knobs (core/options.h) set the default config of every
+ * job and session; a client's SUBMIT may override the job-scope ones
+ * per job with `key=value` tokens (OPEN the session-scope ones), and
+ * every report row echoes the effective values. Clients speak the
+ * line protocol of service/protocol.h; the bundled service_client is
+ * one such client, netcat is another. --jobs bounds concurrent jobs,
+ * --workers the solver threads raced per job; --queue-depth /
+ * --tenant-depth and --sessions / --tenant-sessions cap queued jobs
+ * and open sessions (0 = unbounded).
  *
  * Shutdown — via SIGINT/SIGTERM or a client's SHUTDOWN command —
  * drains gracefully: the scheduler stops accepting (submits answer
@@ -49,17 +27,17 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <memory>
+#include <limits>
 #include <string>
 #include <thread>
 
+#include "core/options.h"
+#include "service/protocol.h"
 #include "service/scheduler.h"
 #include "service/server.h"
 #include "service/session_manager.h"
 #include "service/signals.h"
-#include "simplify/pipeline.h"
+#include "util/cli.h"
 #include "util/metrics.h"
 
 using namespace hyqsat;
@@ -68,136 +46,54 @@ int
 main(int argc, char **argv)
 {
     service::SchedulerOptions sopts;
-    sopts.portfolio.base.annealer.noise =
-        anneal::NoiseModel::noiseFree();
-    sopts.portfolio.base.annealer.greedy_finish = true;
-    sopts.portfolio.base.annealer.attempts = 2;
+    core::useNoiseFreeDevice(sopts.portfolio.base);
     service::ServerOptions server_opts;
     service::SessionManagerOptions session_opts;
     service::DrainPolicy signal_policy =
         service::DrainPolicy::FinishQueued;
-    std::string metrics_path, trace_path;
     bool quiet = false;
+    constexpr int kMaxInt = std::numeric_limits<int>::max();
+    constexpr auto kMaxSize = std::numeric_limits<std::size_t>::max();
 
-    for (int i = 1; i < argc; ++i) {
-        const auto arg = [&](const char *name) {
-            return !std::strcmp(argv[i], name) && i + 1 < argc;
-        };
-        if (arg("--socket")) {
-            server_opts.unix_path = argv[++i];
-        } else if (arg("--port")) {
-            server_opts.tcp_port = std::atoi(argv[++i]);
-        } else if (arg("--jobs")) {
-            sopts.workers = std::max(1, std::atoi(argv[++i]));
-        } else if (arg("--workers")) {
-            sopts.portfolio.num_workers = std::atoi(argv[++i]);
-        } else if (arg("--queue-depth")) {
-            sopts.max_queue_depth =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
-        } else if (arg("--tenant-depth")) {
-            sopts.max_tenant_depth =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
-        } else if (arg("--timeout-s")) {
-            sopts.default_timeout_s = std::atof(argv[++i]);
-        } else if (arg("--conflicts")) {
-            sopts.portfolio.conflict_budget = std::atoll(argv[++i]);
-        } else if (arg("--memory-mb")) {
-            sopts.memory_budget_mb =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
-        } else if (arg("--sessions")) {
-            session_opts.max_sessions =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
-        } else if (arg("--tenant-sessions")) {
-            session_opts.max_per_tenant =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
-        } else if (arg("--sampler")) {
-            sopts.portfolio.base.sampler = argv[++i];
-        } else if (arg("--depth")) {
-            sopts.portfolio.base.pipeline_depth =
-                std::max(1, std::atoi(argv[++i]));
-        } else if (arg("--num-reads")) {
-            sopts.portfolio.base.num_reads =
-                std::max(1, std::atoi(argv[++i]));
-        } else if (!std::strcmp(argv[i], "--reads-batch")) {
-            sopts.portfolio.base.reads_batch = true;
-        } else if (arg("--reads-groups")) {
-            sopts.portfolio.base.reads_groups =
-                std::max(0, std::atoi(argv[++i]));
-        } else if (arg("--topology")) {
-            const auto kind = topology::parseKind(argv[++i]);
-            if (!kind) {
-                std::fprintf(stderr,
-                             "bad --topology: %s (expected chimera, "
-                             "pegasus or zephyr)\n",
-                             argv[i]);
-                return 2;
-            }
-            sopts.portfolio.base.topology = *kind;
-        } else if (arg("--simplify")) {
-            if (!simplify::parseStrength(
-                    argv[++i],
-                    sopts.portfolio.base.simplify_strength)) {
-                std::fprintf(stderr,
-                             "bad --simplify level: %s (expected "
-                             "off, light or full)\n",
-                             argv[i]);
-                return 2;
-            }
-        } else if (arg("--drain")) {
-            const std::string policy = argv[++i];
-            if (policy == "cancel") {
-                signal_policy = service::DrainPolicy::CancelPending;
-            } else if (policy != "finish") {
-                std::fprintf(stderr,
-                             "--drain takes finish or cancel\n");
-                return 2;
-            }
-        } else if (arg("--metrics")) {
-            metrics_path = argv[++i];
-        } else if (arg("--trace")) {
-            trace_path = argv[++i];
-        } else if (!std::strcmp(argv[i], "--noisy")) {
-            sopts.portfolio.base.annealer.noise =
-                anneal::NoiseModel::dwave2000q();
-            sopts.portfolio.base.annealer.greedy_finish = true;
-            sopts.portfolio.base.annealer.attempts = 1;
-        } else if (!std::strcmp(argv[i], "--quiet")) {
-            quiet = true;
-        } else {
-            std::fprintf(stderr, "unknown option %s\n", argv[i]);
-            return 2;
-        }
-    }
-
+    CommandLine cli;
+    cli.text("socket", "PATH", server_opts.unix_path);
+    cli.number("port", server_opts.tcp_port, 0, 65535);
+    cli.number("jobs", sopts.workers, 1, kMaxInt);
+    cli.number("workers", sopts.portfolio.num_workers, 1, kMaxInt);
+    cli.number("queue-depth", sopts.max_queue_depth, std::size_t{0},
+               kMaxSize);
+    cli.number("tenant-depth", sopts.max_tenant_depth, std::size_t{0},
+               kMaxSize);
+    cli.real("timeout-s", sopts.default_timeout_s);
+    cli.number("conflicts", sopts.portfolio.conflict_budget,
+               std::int64_t{-1},
+               std::numeric_limits<std::int64_t>::max());
+    cli.number("memory-mb", sopts.memory_budget_mb, std::size_t{0},
+               kMaxSize);
+    cli.number("sessions", session_opts.max_sessions, std::size_t{0},
+               kMaxSize);
+    cli.number("tenant-sessions", session_opts.max_per_tenant,
+               std::size_t{0}, kMaxSize);
+    core::addKnobFlags(cli, sopts.portfolio.base, core::Knob::Scope::Cli);
+    cli.add("drain", "finish|cancel", [&](std::string_view word) {
+        const auto policy = service::parseDrainPolicy(word);
+        signal_policy = policy.value_or(signal_policy);
+        return policy.has_value();
+    });
+    MetricsFiles files(cli);
+    cli.toggle("quiet", quiet);
+    if (!cli.parse(argc, argv))
+        return 2;
     if (server_opts.unix_path.empty() && server_opts.tcp_port < 0) {
-        std::printf(
-            "usage: %s --socket PATH | --port N [--jobs N] "
-            "[--workers N] [--queue-depth N] [--tenant-depth N] "
-            "[--timeout-s X] [--conflicts N] [--memory-mb M] "
-            "[--sessions N] [--tenant-sessions N] "
-            "[--sampler NAME] [--depth N] "
-            "[--num-reads N] [--reads-batch] [--reads-groups N] "
-            "[--topology chimera|pegasus|zephyr] "
-            "[--simplify off|light|full] [--noisy] "
-            "[--drain finish|cancel] [--metrics FILE] "
-            "[--trace FILE] [--quiet]\n",
-            argv[0]);
+        std::printf("%s\n", cli.usage(argv[0]).c_str());
         return 2;
     }
 
     // One registry for the daemon's lifetime: per-tenant service.*
     // counters accumulate here and back the METRICS command.
     MetricsRegistry registry;
-    std::unique_ptr<TraceSink> trace_sink;
-    if (!trace_path.empty()) {
-        trace_sink = std::make_unique<TraceSink>(trace_path);
-        if (!trace_sink->ok()) {
-            std::fprintf(stderr, "cannot open trace file %s\n",
-                         trace_path.c_str());
-            return 2;
-        }
-        registry.setTrace(trace_sink.get());
-    }
+    if (!files.open(registry))
+        return 2;
     sopts.metrics = &registry;
 
     // Signals and the SHUTDOWN verb converge on one StopToken; the
@@ -225,27 +121,21 @@ main(int argc, char **argv)
         policy.store(p, std::memory_order_relaxed);
         stop.requestStop();
     });
+    const auto address = [&](int port) {
+        return server_opts.unix_path.empty()
+                   ? "127.0.0.1:" + std::to_string(port)
+                   : server_opts.unix_path;
+    };
     if (!server.start()) {
         std::fprintf(stderr, "cannot bind %s\n",
-                     server_opts.unix_path.empty()
-                         ? ("127.0.0.1:" +
-                            std::to_string(server_opts.tcp_port))
-                               .c_str()
-                         : server_opts.unix_path.c_str());
+                     address(server_opts.tcp_port).c_str());
         return 2;
     }
-
     if (!quiet) {
-        if (server_opts.unix_path.empty())
-            std::printf("solver_daemon listening on 127.0.0.1:%d "
-                        "(%d jobs x %d workers)\n",
-                        server.port(), sopts.workers,
-                        sopts.portfolio.num_workers);
-        else
-            std::printf("solver_daemon listening on %s "
-                        "(%d jobs x %d workers)\n",
-                        server_opts.unix_path.c_str(), sopts.workers,
-                        sopts.portfolio.num_workers);
+        std::printf("solver_daemon listening on %s (%d jobs x %d "
+                    "workers)\n",
+                    address(server.port()).c_str(), sopts.workers,
+                    sopts.portfolio.num_workers);
         std::fflush(stdout);
     }
 
@@ -265,17 +155,7 @@ main(int argc, char **argv)
     server.stop();
     service::uninstallStopSignalHandlers();
 
-    if (!metrics_path.empty()) {
-        std::ofstream out(metrics_path);
-        if (out) {
-            registry.writeJson(out);
-            if (!quiet)
-                std::printf("wrote %s\n", metrics_path.c_str());
-        } else {
-            std::fprintf(stderr, "cannot open metrics file %s\n",
-                         metrics_path.c_str());
-        }
-    }
+    files.write(registry, !quiet);
     if (!quiet)
         std::printf("solver_daemon: clean shutdown\n");
     return 0;

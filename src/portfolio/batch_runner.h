@@ -17,7 +17,6 @@
 #define HYQSAT_PORTFOLIO_BATCH_RUNNER_H
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -77,22 +76,12 @@ class BatchRunner
   public:
     explicit BatchRunner(BatchOptions opts);
 
-    /** Solve every path; records come back in input order. */
+    /**
+     * Solve every path; records come back in input order. Inputs and
+     * reports go through service/report.h (collectCnfFiles,
+     * readManifest, writeJsonReport, writeCsvReport).
+     */
     BatchReport run(const std::vector<std::string> &paths);
-
-    /** Every *.cnf / *.dimacs file under @p dir (sorted). */
-    static std::vector<std::string>
-    collectCnfFiles(const std::string &dir);
-
-    /** One path per non-empty, non-comment ('#') line. */
-    static std::vector<std::string> readManifest(std::istream &in);
-
-    /** Estimated solve-time footprint of a formula (MB). */
-    static std::size_t estimateMemoryMb(const sat::Cnf &cnf,
-                                        int num_workers);
-
-    static void writeJson(const BatchReport &report, std::ostream &out);
-    static void writeCsv(const BatchReport &report, std::ostream &out);
 
   private:
     BatchOptions opts_;

@@ -22,36 +22,6 @@ BatchRunner::BatchRunner(BatchOptions opts) : opts_(std::move(opts))
     opts_.concurrency = std::max(opts_.concurrency, 1);
 }
 
-std::vector<std::string>
-BatchRunner::collectCnfFiles(const std::string &dir)
-{
-    return service::collectCnfFiles(dir);
-}
-
-std::vector<std::string>
-BatchRunner::readManifest(std::istream &in)
-{
-    return service::readManifest(in);
-}
-
-std::size_t
-BatchRunner::estimateMemoryMb(const sat::Cnf &cnf, int num_workers)
-{
-    return service::estimateMemoryMb(cnf, num_workers);
-}
-
-void
-BatchRunner::writeJson(const BatchReport &report, std::ostream &out)
-{
-    service::writeJsonReport(report, out);
-}
-
-void
-BatchRunner::writeCsv(const BatchReport &report, std::ostream &out)
-{
-    service::writeCsvReport(report, out);
-}
-
 BatchReport
 BatchRunner::run(const std::vector<std::string> &paths)
 {

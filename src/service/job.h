@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <string>
 
+#include "core/options.h"
+
 namespace hyqsat::service {
 
 /** Monotonic per-scheduler job identifier (0 = invalid). */
@@ -48,31 +50,11 @@ struct JobSpec
     double timeout_s = 0.0;
 
     /**
-     * Inprocessing strength override ("off", "light", "full"); ""
-     * keeps the scheduler's configured portfolio defaults. Applied
-     * to every worker's base config before diversification.
+     * Knob overrides (SUBMIT `key=value` tokens, see core/options.h),
+     * applied in order to every worker's base config before
+     * diversification; empty keeps the scheduler's defaults.
      */
-    std::string simplify;
-
-    /**
-     * Hardware-topology override ("chimera", "pegasus"); "" keeps
-     * the scheduler's configured default. Applied like simplify.
-     */
-    std::string topology;
-
-    /**
-     * Lockstep-reads override: 1 routes multi-read anneals through
-     * the SIMD batch kernel, 0 forces WorkPool threads, -1 keeps
-     * the scheduler's configured default.
-     */
-    int reads_batch = -1;
-
-    /**
-     * Parallel lockstep-group override for the batched path: >= 0
-     * pins HybridConfig::reads_groups (0 = auto-sized groups of up
-     * to 8 lanes), -1 keeps the scheduler's configured default.
-     */
-    int reads_groups = -1;
+    core::KnobValues overrides;
 };
 
 /** Admission-control verdict for one submit. */

@@ -1,80 +1,14 @@
 #include "service/protocol.h"
 
-#include <charconv>
-
-#include "simplify/pipeline.h"
-#include "topology/topology.h"
 #include "util/metrics.h"
+#include "util/parse.h"
 
 namespace hyqsat::service {
 
 namespace {
 
-bool
-parseUint(std::string_view tok, std::uint64_t &out)
-{
-    const auto res =
-        std::from_chars(tok.data(), tok.data() + tok.size(), out);
-    return res.ec == std::errc() &&
-           res.ptr == tok.data() + tok.size();
-}
-
-bool
-parseInt(std::string_view tok, int &out)
-{
-    const auto res =
-        std::from_chars(tok.data(), tok.data() + tok.size(), out);
-    return res.ec == std::errc() &&
-           res.ptr == tok.data() + tok.size();
-}
-
-/**
- * Parse one trailing `key=value` override token of SUBMIT/OPEN.
- * Values are validated here so the scheduler can apply them blindly.
- */
-bool
-parseOption(std::string_view opt, Request &req)
-{
-    constexpr std::string_view kSimplify = "simplify=";
-    constexpr std::string_view kTopology = "topology=";
-    constexpr std::string_view kReadsBatch = "reads_batch=";
-    constexpr std::string_view kReadsGroups = "reads_groups=";
-    if (opt.rfind(kSimplify, 0) == 0) {
-        const auto value = opt.substr(kSimplify.size());
-        simplify::Strength strength;
-        if (!simplify::parseStrength(std::string(value), strength))
-            return false;
-        req.simplify = std::string(value);
-        return true;
-    }
-    if (opt.rfind(kTopology, 0) == 0) {
-        const auto value = opt.substr(kTopology.size());
-        if (!topology::parseKind(value).has_value())
-            return false;
-        req.topology = std::string(value);
-        return true;
-    }
-    if (opt.rfind(kReadsBatch, 0) == 0) {
-        const auto value = opt.substr(kReadsBatch.size());
-        if (value != "0" && value != "1")
-            return false;
-        req.reads_batch = value == "1" ? 1 : 0;
-        return true;
-    }
-    if (opt.rfind(kReadsGroups, 0) == 0) {
-        const auto value = opt.substr(kReadsGroups.size());
-        int groups = -1;
-        if (!parseInt(value, groups) || groups < 0 || groups > 4096)
-            return false;
-        req.reads_groups = groups;
-        return true;
-    }
-    return false;
-}
-
-constexpr const char *kOptionUsage =
-    "simplify=<off|light|full>, topology=<chimera|pegasus|zephyr>, "
-    "reads_batch=<0|1> or reads_groups=<n>";
+constexpr auto kSession = core::Knob::Scope::Session;
+constexpr auto kJob = core::Knob::Scope::Job;
 
 } // namespace
 
@@ -111,23 +45,22 @@ parseRequest(std::string_view line)
     const std::string_view verb = tokens[0];
     if (verb == "SUBMIT") {
         // SUBMIT <tenant> <priority> <name> [key=value...] — all
-        // single tokens; the optional extras are key=value overrides
-        // in any order (anything else stays Invalid).
-        if (tokens.size() < 4 || tokens.size() > 8) {
-            req.error = "usage: SUBMIT <tenant> <priority> <name> "
-                        "[simplify=<off|light|full>] "
-                        "[topology=<chimera|pegasus|zephyr>] "
-                        "[reads_batch=<0|1>] [reads_groups=<n>]";
+        // single tokens; the optional extras are job-scope knob
+        // overrides in any order, no more of them than there are
+        // such knobs (anything else stays Invalid).
+        if (tokens.size() < 4 || tokens.size() > 4 + core::knobs(kJob).size()) {
+            req.error = "usage: SUBMIT <tenant> <priority> <name> " +
+                        core::knobSettingUsage(kJob);
             return req;
         }
-        if (!parseInt(tokens[2], req.priority)) {
+        if (!parseNumber(tokens[2], req.priority)) {
             req.error = "bad priority";
             return req;
         }
         for (std::size_t i = 4; i < tokens.size(); ++i) {
-            if (!parseOption(tokens[i], req)) {
+            if (!core::parseKnobSetting(tokens[i], kJob, req.overrides)) {
                 req.error = "bad option (expected " +
-                            std::string(kOptionUsage) +
+                            core::knobSettingUsage(kJob) +
                             "): " + std::string(tokens[i]);
                 return req;
             }
@@ -138,7 +71,7 @@ parseRequest(std::string_view line)
         return req;
     }
     if (verb == "WAIT" || verb == "STATUS") {
-        if (tokens.size() != 2 || !parseUint(tokens[1], req.id)) {
+        if (tokens.size() != 2 || !parseNumber(tokens[1], req.id)) {
             req.error = "usage: " + std::string(verb) + " <id>";
             return req;
         }
@@ -154,16 +87,15 @@ parseRequest(std::string_view line)
         return req;
     }
     if (verb == "SHUTDOWN") {
-        if (tokens.size() > 2 ||
-            (tokens.size() == 2 && tokens[1] != "finish" &&
-             tokens[1] != "cancel")) {
+        const auto policy = tokens.size() == 2
+                                ? parseDrainPolicy(tokens[1])
+                                : DrainPolicy::FinishQueued;
+        if (tokens.size() > 2 || !policy) {
             req.error = "usage: SHUTDOWN [finish|cancel]";
             return req;
         }
         req.verb = Verb::Shutdown;
-        req.drain_policy = (tokens.size() == 2 && tokens[1] == "cancel")
-                               ? DrainPolicy::CancelPending
-                               : DrainPolicy::FinishQueued;
+        req.drain_policy = *policy;
         return req;
     }
     if (verb == "QUIT") {
@@ -171,22 +103,19 @@ parseRequest(std::string_view line)
         return req;
     }
     if (verb == "OPEN") {
-        // OPEN <tenant> [simplify=<level>] — same optional override
-        // key SUBMIT takes.
+        // OPEN <tenant> [key=value] — one session-scope knob
+        // override.
         if (tokens.size() != 2 && tokens.size() != 3) {
-            req.error =
-                "usage: OPEN <tenant> [simplify=<off|light|full>]";
+            req.error = "usage: OPEN <tenant> " +
+                        core::knobSettingUsage(kSession);
             return req;
         }
-        if (tokens.size() == 3) {
-            const std::string_view opt = tokens[2];
-            if (opt.rfind("simplify=", 0) != 0 ||
-                !parseOption(opt, req)) {
-                req.error = "bad option (expected "
-                            "simplify=<off|light|full>): " +
-                            std::string(opt);
-                return req;
-            }
+        if (tokens.size() == 3 &&
+            !core::parseKnobSetting(tokens[2], kSession, req.overrides)) {
+            req.error = "bad option (expected " +
+                        core::knobSettingUsage(kSession) +
+                        "): " + std::string(tokens[2]);
+            return req;
         }
         req.verb = Verb::Open;
         req.tenant = std::string(tokens[1]);
@@ -194,7 +123,7 @@ parseRequest(std::string_view line)
     }
     if (verb == "ADD" || verb == "SOLVE" || verb == "CORE" ||
         verb == "CLOSE") {
-        if (tokens.size() != 2 || !parseUint(tokens[1], req.id)) {
+        if (tokens.size() != 2 || !parseNumber(tokens[1], req.id)) {
             req.error = "usage: " + std::string(verb) + " <sid>";
             return req;
         }
@@ -205,13 +134,13 @@ parseRequest(std::string_view line)
         return req;
     }
     if (verb == "ASSUME") {
-        if (tokens.size() < 2 || !parseUint(tokens[1], req.id)) {
+        if (tokens.size() < 2 || !parseNumber(tokens[1], req.id)) {
             req.error = "usage: ASSUME <sid> <lit...>";
             return req;
         }
         for (std::size_t i = 2; i < tokens.size(); ++i) {
             int lit = 0;
-            if (!parseInt(tokens[i], lit) || lit == 0) {
+            if (!parseNumber(tokens[i], lit) || lit == 0) {
                 req.error =
                     "bad literal (nonzero DIMACS int expected): " +
                     std::string(tokens[i]);
@@ -224,6 +153,16 @@ parseRequest(std::string_view line)
     }
     req.error = "unknown verb: " + std::string(verb);
     return req;
+}
+
+std::optional<DrainPolicy>
+parseDrainPolicy(std::string_view word)
+{
+    if (word == "finish")
+        return DrainPolicy::FinishQueued;
+    if (word == "cancel")
+        return DrainPolicy::CancelPending;
+    return std::nullopt;
 }
 
 std::string
@@ -267,15 +206,15 @@ parseResult(std::string_view line)
     if (tokens.size() != 8 || tokens[0] != "RESULT")
         return std::nullopt;
     JobId id = 0;
-    if (!parseUint(tokens[1], id))
+    if (!parseNumber(tokens[1], id))
         return std::nullopt;
     InstanceRecord rec;
     rec.status = std::string(tokens[2]);
     rec.wall_s = std::atof(std::string(tokens[3]).c_str());
     int vars = 0, clauses = 0;
     std::uint64_t conflicts = 0;
-    if (!parseInt(tokens[4], vars) || !parseInt(tokens[5], clauses) ||
-        !parseUint(tokens[6], conflicts))
+    if (!parseNumber(tokens[4], vars) || !parseNumber(tokens[5], clauses) ||
+        !parseNumber(tokens[6], conflicts))
         return std::nullopt;
     rec.vars = vars;
     rec.clauses = clauses;
@@ -301,12 +240,12 @@ parseCore(std::string_view line)
     if (tokens.size() < 2 || tokens[0] != "CORE")
         return std::nullopt;
     JobId sid = 0;
-    if (!parseUint(tokens[1], sid))
+    if (!parseNumber(tokens[1], sid))
         return std::nullopt;
     std::vector<int> lits;
     for (std::size_t i = 2; i < tokens.size(); ++i) {
         int lit = 0;
-        if (!parseInt(tokens[i], lit) || lit == 0)
+        if (!parseNumber(tokens[i], lit) || lit == 0)
             return std::nullopt;
         lits.push_back(lit);
     }

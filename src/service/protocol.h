@@ -6,10 +6,11 @@
  * daemon without a serialization library.
  *
  * Client -> server:
- *   SUBMIT <tenant> <priority> <name> [simplify=<off|light|full>]
- *                    [topology=<chimera|pegasus|zephyr>]
- *                    [reads_batch=<0|1>] [reads_groups=<n>]
- *                    then DIMACS lines, then END
+ *   SUBMIT <tenant> <priority> <name> [key=value...]
+ *                    then DIMACS lines, then END; the optional
+ *                    tokens override the daemon's solver knobs for
+ *                    this job (the job-scope entries of the knob
+ *                    table, core/options.h)
  *   WAIT <id>        block until the job finishes
  *   STATUS <id>      non-blocking state probe
  *   METRICS          /metrics-style text snapshot
@@ -18,7 +19,7 @@
  *   QUIT             close this connection
  *
  * Incremental sessions (IPASIR-style, core::Session behind each id):
- *   OPEN <tenant> [simplify=<off|light|full>]   open a session
+ *   OPEN <tenant> [key=value]   open a session (session-scope knobs)
  *   ADD <sid>        then DIMACS clause lines, then END
  *   ASSUME <sid> <lit...>   assumptions (DIMACS ints) for next SOLVE
  *   SOLVE <sid>      solve under the pending assumptions (inline)
@@ -84,11 +85,7 @@ struct Request
     std::string tenant;
     int priority = 0;
     std::string name;
-    std::string simplify; ///< "" = daemon default strength
-    std::string topology; ///< "" = daemon default hardware graph
-    int reads_batch = -1; ///< -1 = daemon default, else 0/1
-    int reads_groups = -1; ///< -1 = daemon default, else >= 0
-                           ///< (0 = auto-sized lockstep groups)
+    core::KnobValues overrides; ///< validated key=value knob tokens
 
     // WAIT / STATUS / session-verb id field.
     JobId id = 0;
@@ -105,6 +102,9 @@ std::vector<std::string_view> splitTokens(std::string_view line);
 
 /** Parse one request line (never throws; Invalid carries why). */
 Request parseRequest(std::string_view line);
+
+/** "finish" / "cancel" (SHUTDOWN, --drain) -> the policy. */
+std::optional<DrainPolicy> parseDrainPolicy(std::string_view word);
 
 /** `OK <id>` or `REJECTED <reason>` for a submission verdict. */
 std::string formatSubmission(const Submission &sub);

@@ -12,6 +12,22 @@ namespace hyqsat::service {
 
 namespace fs = std::filesystem;
 
+namespace {
+
+/** Report rows echo the job-scope knobs, in table order. */
+constexpr auto kEchoed = core::Knob::Scope::Job;
+
+/** @p r's echo of @p k; unset reads "" (words) or 0 (numbers). */
+std::string
+echoValue(const InstanceRecord &r, const core::Knob &k)
+{
+    const std::string value = core::knobValue(r.knobs, k.key());
+    return value.empty() && k.kind != core::Knob::Kind::Word ? "0"
+                                                              : value;
+}
+
+} // namespace
+
 void
 tallyRecord(BatchReport &report, const InstanceRecord &rec)
 {
@@ -100,12 +116,16 @@ writeJsonReport(const BatchReport &report, std::ostream &out)
         out << "    {\"name\": \"" << jsonEscape(r.name)
             << "\", \"path\": \"" << jsonEscape(r.path)
             << "\", \"status\": \"" << jsonEscape(r.status)
-            << "\", \"winner\": \"" << jsonEscape(r.winner)
-            << "\", \"simplify\": \"" << jsonEscape(r.simplify)
-            << "\", \"topology\": \"" << jsonEscape(r.topology)
-            << "\", \"reads_batch\": " << (r.reads_batch ? 1 : 0)
-            << ", \"reads_groups\": " << r.reads_groups
-            << ", \"wall_s\": " << jsonNumber(r.wall_s)
+            << "\", \"winner\": \"" << jsonEscape(r.winner) << '"';
+        for (const core::Knob *k : core::knobs(kEchoed)) {
+            const std::string value = echoValue(r, *k);
+            out << ", \"" << k->key() << "\": ";
+            if (k->kind == core::Knob::Kind::Word)
+                out << '"' << jsonEscape(value) << '"';
+            else
+                out << value;
+        }
+        out << ", \"wall_s\": " << jsonNumber(r.wall_s)
             << ", \"vars\": " << r.vars
             << ", \"clauses\": " << r.clauses
             << ", \"iterations\": " << r.iterations
@@ -133,15 +153,18 @@ writeJsonReport(const BatchReport &report, std::ostream &out)
 void
 writeCsvReport(const BatchReport &report, std::ostream &out)
 {
-    out << "name,path,status,winner,simplify,topology,reads_batch,"
-           "reads_groups,wall_s,vars,clauses,"
+    out << "name,path,status,winner,";
+    for (const core::Knob *k : core::knobs(kEchoed))
+        out << k->key() << ',';
+    out << "wall_s,vars,clauses,"
            "iterations,conflicts,restarts,propagations,qa_samples,"
            "frontend_s,qa_device_s,qa_blocking_s,backend_s,cdcl_s\n";
     for (const InstanceRecord &r : report.records) {
         out << r.name << ',' << r.path << ',' << r.status << ','
-            << r.winner << ',' << r.simplify << ','
-            << r.topology << ',' << (r.reads_batch ? 1 : 0) << ','
-            << r.reads_groups << ',' << jsonNumber(r.wall_s) << ','
+            << r.winner << ',';
+        for (const core::Knob *k : core::knobs(kEchoed))
+            out << echoValue(r, *k) << ',';
+        out << jsonNumber(r.wall_s) << ','
             << r.vars << ',' << r.clauses << ',' << r.iterations
             << ',' << r.conflicts << ',' << r.restarts << ','
             << r.propagations << ',' << r.qa_samples << ','

@@ -17,6 +17,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/options.h"
+
 namespace hyqsat::sat {
 class Cnf;
 }
@@ -40,23 +42,12 @@ struct InstanceRecord
     std::string winner; ///< winning worker label ("" if none)
 
     /**
-     * Effective inprocessing strength of the run's base config
-     * ("off", "light", "full"); individual portfolio slots may still
-     * diversify around it.
+     * Effective job-scope knob values of the run's base config
+     * (core::echoKnobs: simplify, topology, ...); individual
+     * portfolio slots may still diversify around them. Empty when
+     * the job ended before its config was built.
      */
-    std::string simplify;
-
-    /** Effective hardware topology ("chimera", "pegasus"). */
-    std::string topology;
-
-    /** True when multi-read anneals ran the lockstep batch kernel. */
-    bool reads_batch = false;
-
-    /**
-     * Effective parallel lockstep-group setting of the batched path
-     * (0 = auto-sized groups of up to 8 lanes).
-     */
-    int reads_groups = 0;
+    core::KnobValues knobs;
 
     double wall_s = 0.0;
     int vars = 0;

@@ -5,8 +5,6 @@
 #include <filesystem>
 
 #include "sat/dimacs.h"
-#include "simplify/pipeline.h"
-#include "topology/topology.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/timer.h"
@@ -56,6 +54,7 @@ JobScheduler::submit(JobSpec spec)
 {
     Submission sub;
     std::lock_guard<std::mutex> lock(mutex_);
+    checkExternalStopLocked();
     if (opts_.metrics) {
         opts_.metrics->counter("service.submitted")->add();
         metricInc(tenantCounter(spec.tenant, "submitted"));
@@ -109,6 +108,7 @@ JobScheduler::resume()
     {
         std::lock_guard<std::mutex> lock(mutex_);
         paused_ = false;
+        checkExternalStopLocked();
     }
     work_cv_.notify_all();
 }
@@ -181,53 +181,63 @@ JobScheduler::recordCompletionLocked(JobId id)
 void
 JobScheduler::drain(DrainPolicy policy)
 {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (!draining_) {
-            draining_ = true;
-            drain_policy_ = policy;
-        } else if (policy == DrainPolicy::CancelPending) {
-            drain_policy_ = policy; // escalate finish -> cancel
-        }
-        paused_ = false; // a drain always unparks the workers
+    std::lock_guard<std::mutex> lock(mutex_);
+    drainLocked(policy);
+}
 
-        if (drain_policy_ == DrainPolicy::CancelPending) {
-            // Queued jobs complete as CANCELLED right here (they
-            // never run); in-flight jobs get their stop tokens
-            // tripped and finish on their own threads.
-            for (auto &[name, tenant] : tenants_) {
-                std::string id_str;
-                while (tenant.queue.pop(id_str)) {
-                    const JobId id = std::stoull(id_str);
-                    const auto it = jobs_.find(id);
-                    if (it == jobs_.end())
-                        continue;
-                    Job &job = *it->second;
-                    job.cancelled.store(true,
-                                        std::memory_order_relaxed);
-                    job.state = JobState::Done;
-                    job.record.name = job.spec.name;
-                    job.record.path = job.spec.path;
-                    job.record.status = "CANCELLED";
-                    recordCompletionLocked(id);
-                    --queued_;
-                    if (opts_.metrics) {
-                        opts_.metrics->counter("service.cancelled")
-                            ->add();
-                        metricInc(tenantCounter(job.spec.tenant,
-                                                "cancelled"));
-                    }
+void
+JobScheduler::checkExternalStopLocked()
+{
+    if (external_stop_seen_ || !opts_.external_stop ||
+        !opts_.external_stop->stopRequested())
+        return;
+    external_stop_seen_ = true;
+    drainLocked(opts_.external_stop_policy);
+}
+
+void
+JobScheduler::drainLocked(DrainPolicy policy)
+{
+    if (!draining_) {
+        draining_ = true;
+        drain_policy_ = policy;
+    } else if (policy == DrainPolicy::CancelPending) {
+        drain_policy_ = policy; // escalate finish -> cancel
+    }
+    paused_ = false; // a drain always unparks the workers
+
+    if (drain_policy_ == DrainPolicy::CancelPending) {
+        // Queued jobs complete as CANCELLED right here (they
+        // never run); in-flight jobs get their stop tokens
+        // tripped and finish on their own threads.
+        for (auto &[name, tenant] : tenants_) {
+            std::string id_str;
+            while (tenant.queue.pop(id_str)) {
+                const JobId id = std::stoull(id_str);
+                const auto it = jobs_.find(id);
+                if (it == jobs_.end())
+                    continue;
+                Job &job = *it->second;
+                job.cancelled.store(true, std::memory_order_relaxed);
+                job.state = JobState::Done;
+                job.record.name = job.spec.name;
+                job.record.path = job.spec.path;
+                job.record.status = "CANCELLED";
+                recordCompletionLocked(id);
+                --queued_;
+                if (opts_.metrics) {
+                    opts_.metrics->counter("service.cancelled")->add();
+                    metricInc(tenantCounter(job.spec.tenant, "cancelled"));
                 }
             }
-            if (opts_.metrics)
-                opts_.metrics->gauge("service.queue_depth")
-                    ->set(static_cast<double>(queued_));
-            for (auto &[id, job] : jobs_) {
-                if (job->state == JobState::Running) {
-                    job->cancelled.store(true,
-                                         std::memory_order_relaxed);
-                    job->stop.requestStop();
-                }
+        }
+        if (opts_.metrics)
+            opts_.metrics->gauge("service.queue_depth")
+                ->set(static_cast<double>(queued_));
+        for (auto &[id, job] : jobs_) {
+            if (job->state == JobState::Running) {
+                job->cancelled.store(true, std::memory_order_relaxed);
+                job->stop.requestStop();
             }
         }
     }
@@ -257,7 +267,8 @@ JobScheduler::watchExternalStop()
 {
     while (!watcher_quit_.stopRequested()) {
         if (opts_.external_stop->stopRequested()) {
-            drain(opts_.external_stop_policy);
+            std::lock_guard<std::mutex> lock(mutex_);
+            checkExternalStopLocked();
             return;
         }
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -267,6 +278,7 @@ JobScheduler::watchExternalStop()
 std::shared_ptr<JobScheduler::Job>
 JobScheduler::nextJobLocked()
 {
+    checkExternalStopLocked();
     // Serve the non-empty tenant with the highest priority;
     // round-robin (least recently served first) among equals.
     Tenant *best = nullptr;
@@ -364,47 +376,13 @@ JobScheduler::runJob(const std::shared_ptr<Job> &job)
     popts.external_stop = &job->stop;
     popts.metrics = &inst_metrics;
 
-    // Per-job inprocessing override: retarget the base config (and
-    // any explicit worker slate) before diversification. An invalid
-    // spelling was already rejected at the protocol layer; here it
-    // just falls back to the configured default.
-    simplify::Strength strength = popts.base.simplify_strength;
-    if (!spec.simplify.empty() &&
-        simplify::parseStrength(spec.simplify, strength)) {
-        popts.base.simplify_strength = strength;
-        for (portfolio::WorkerConfig &w : popts.workers)
-            w.hybrid.simplify_strength = strength;
-    }
-    rec.simplify = simplify::strengthName(strength);
-
-    // Topology and lockstep-reads overrides, applied the same way
-    // (base config + any explicit slate; echoed in the record).
-    topology::Kind topo = popts.base.topology;
-    if (const auto kind = topology::parseKind(spec.topology)) {
-        topo = *kind;
-        popts.base.topology = topo;
-        for (portfolio::WorkerConfig &w : popts.workers)
-            w.hybrid.topology = topo;
-    }
-    rec.topology = topology::kindName(topo);
-
-    bool reads_batch = popts.base.reads_batch;
-    if (spec.reads_batch >= 0) {
-        reads_batch = spec.reads_batch != 0;
-        popts.base.reads_batch = reads_batch;
-        for (portfolio::WorkerConfig &w : popts.workers)
-            w.hybrid.reads_batch = reads_batch;
-    }
-    rec.reads_batch = reads_batch;
-
-    int reads_groups = popts.base.reads_groups;
-    if (spec.reads_groups >= 0) {
-        reads_groups = spec.reads_groups;
-        popts.base.reads_groups = reads_groups;
-        for (portfolio::WorkerConfig &w : popts.workers)
-            w.hybrid.reads_groups = reads_groups;
-    }
-    rec.reads_groups = reads_groups;
+    // Per-job knob overrides retarget the base config and any
+    // explicit worker slate before diversification. The protocol
+    // layer already rejected malformed values.
+    core::applyKnobs(spec.overrides, popts.base);
+    for (portfolio::WorkerConfig &w : popts.workers)
+        core::applyKnobs(spec.overrides, w.hybrid);
+    rec.knobs = core::echoKnobs(popts.base);
 
     const int workers = popts.workers.empty()
                             ? popts.num_workers

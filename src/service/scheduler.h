@@ -195,6 +195,12 @@ class JobScheduler
     void finishJob(const std::shared_ptr<Job> &job,
                    MetricsRegistry *job_metrics);
     void recordCompletionLocked(JobId id);
+    void drainLocked(DrainPolicy policy);
+
+    /** Drain by external_stop_policy once external_stop trips;
+     *  checked wherever work is admitted or picked up, so a token
+     *  tripped before submit()/resume() never lets a job start. */
+    void checkExternalStopLocked();
     void watchExternalStop();
     Counter *tenantCounter(const std::string &tenant,
                            const char *what);
@@ -208,6 +214,7 @@ class JobScheduler
     bool draining_ = false;
     DrainPolicy drain_policy_ = DrainPolicy::FinishQueued;
     bool joining_ = false;
+    bool external_stop_seen_ = false;
 
     JobId next_id_ = 1;
     std::uint64_t serve_clock_ = 0;

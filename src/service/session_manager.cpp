@@ -1,7 +1,9 @@
 #include "service/session_manager.h"
 
-#include <charconv>
+#include <limits>
 
+#include "service/protocol.h"
+#include "util/parse.h"
 #include "util/timer.h"
 
 namespace hyqsat::service {
@@ -19,40 +21,22 @@ std::string
 parseClauses(const std::string &text,
              std::vector<sat::LitVec> &clauses)
 {
+    constexpr int kMaxLit = std::numeric_limits<int>::max();
     sat::LitVec current;
     std::size_t pos = 0;
     while (pos < text.size()) {
         std::size_t eol = text.find('\n', pos);
         if (eol == std::string::npos)
             eol = text.size();
-        const std::string_view line(text.data() + pos, eol - pos);
+        const auto tokens =
+            splitTokens(std::string_view(text).substr(pos, eol - pos));
         pos = eol + 1;
-        std::size_t i = 0;
-        while (i < line.size() &&
-               (line[i] == ' ' || line[i] == '\t' || line[i] == '\r'))
-            ++i;
-        if (i >= line.size() || line[i] == 'c' || line[i] == 'p')
+        if (tokens.empty() || tokens[0][0] == 'c' || tokens[0][0] == 'p')
             continue;
-        while (i < line.size()) {
-            while (i < line.size() &&
-                   (line[i] == ' ' || line[i] == '\t' ||
-                    line[i] == '\r'))
-                ++i;
-            std::size_t end = i;
-            while (end < line.size() && line[end] != ' ' &&
-                   line[end] != '\t' && line[end] != '\r')
-                ++end;
-            if (end == i)
-                break;
+        for (const std::string_view tok : tokens) {
             int lit = 0;
-            const auto res = std::from_chars(
-                line.data() + i, line.data() + end, lit);
-            if (res.ec != std::errc() ||
-                res.ptr != line.data() + end) {
-                return "bad literal: " +
-                       std::string(line.substr(i, end - i));
-            }
-            i = end;
+            if (!parseNumber(tok, -kMaxLit, kMaxLit, lit))
+                return "bad literal: " + std::string(tok);
             if (lit == 0) {
                 clauses.push_back(current);
                 current.clear();
@@ -111,7 +95,7 @@ SessionManager::closeLocked(SessionId sid)
 
 OpenResult
 SessionManager::open(const std::string &tenant,
-                     const std::string &simplify)
+                     const core::KnobValues &overrides)
 {
     OpenResult out;
     std::lock_guard<std::mutex> lock(mutex_);
@@ -131,10 +115,7 @@ SessionManager::open(const std::string &tenant,
         return reject("tenant_sessions_full");
 
     core::HybridConfig config = opts_.hybrid;
-    simplify::Strength strength;
-    if (!simplify.empty() &&
-        simplify::parseStrength(simplify, strength))
-        config.simplify_strength = strength;
+    core::applyKnobs(overrides, config);
 
     auto entry = std::make_shared<Entry>();
     entry->tenant = tenant;
@@ -216,8 +197,7 @@ SessionManager::solve(SessionId sid)
                  : r.status.isFalse() ? "UNSAT"
                                       : "UNKNOWN";
     rec.winner = "session";
-    rec.simplify = simplify::strengthName(
-        entry->session->config().simplify_strength);
+    rec.knobs = core::echoKnobs(entry->session->config());
     rec.wall_s = timer.seconds();
     rec.vars = entry->session->formula().numVars();
     rec.clauses = entry->session->formula().numClauses();

@@ -185,8 +185,8 @@ TEST(BatchRunner, EstimateMemoryScalesWithWorkers)
     for (int i = 0; i < 97; ++i)
         cnf.addClause({sat::mkLit(i % 100), sat::mkLit((i + 3) % 100),
                        sat::mkLit((i + 7) % 100, true)});
-    EXPECT_GE(BatchRunner::estimateMemoryMb(cnf, 8),
-              BatchRunner::estimateMemoryMb(cnf, 1));
+    EXPECT_GE(service::estimateMemoryMb(cnf, 8),
+              service::estimateMemoryMb(cnf, 1));
 }
 
 TEST(BatchRunner, CollectCnfFilesFiltersAndSorts)
@@ -195,7 +195,7 @@ TEST(BatchRunner, CollectCnfFilesFiltersAndSorts)
     dir.write("b.cnf", kSatCnf);
     dir.write("a.dimacs", kSatCnf);
     dir.write("notes.txt", "not a formula");
-    const auto files = BatchRunner::collectCnfFiles(dir.path.string());
+    const auto files = service::collectCnfFiles(dir.path.string());
     ASSERT_EQ(files.size(), 2u);
     EXPECT_NE(files[0].find("a.dimacs"), std::string::npos);
     EXPECT_NE(files[1].find("b.cnf"), std::string::npos);
@@ -209,7 +209,7 @@ TEST(BatchRunner, ReadManifestSkipsCommentsAndBlanks)
                           "\ttwo.cnf\r\n"
                           "   # indented comment\n"
                           "three.cnf\n");
-    const auto paths = BatchRunner::readManifest(in);
+    const auto paths = service::readManifest(in);
     ASSERT_EQ(paths.size(), 3u);
     EXPECT_EQ(paths[0], "one.cnf");
     EXPECT_EQ(paths[1], "two.cnf");
@@ -225,7 +225,7 @@ TEST(BatchRunner, JsonAndCsvReportsWellFormed)
     const auto report = runner.run({sat_path, broken_path});
 
     std::ostringstream json;
-    BatchRunner::writeJson(report, json);
+    service::writeJsonReport(report, json);
     const std::string j = json.str();
     EXPECT_NE(j.find("\"summary\""), std::string::npos);
     EXPECT_NE(j.find("\"status\": \"SAT\""), std::string::npos);
@@ -236,7 +236,7 @@ TEST(BatchRunner, JsonAndCsvReportsWellFormed)
               std::count(j.begin(), j.end(), ']'));
 
     std::ostringstream csv;
-    BatchRunner::writeCsv(report, csv);
+    service::writeCsvReport(report, csv);
     const std::string c = csv.str();
     // Header + one row per instance.
     EXPECT_EQ(std::count(c.begin(), c.end(), '\n'), 3);
@@ -262,7 +262,7 @@ TEST(BatchRunner, JsonReportGuardsNonFiniteDoubles)
     report.wall_s = std::numeric_limits<double>::quiet_NaN();
 
     std::ostringstream json;
-    BatchRunner::writeJson(report, json);
+    service::writeJsonReport(report, json);
     const std::string j = json.str();
     EXPECT_EQ(j.find("nan"), std::string::npos);
     EXPECT_EQ(j.find("inf"), std::string::npos);
@@ -273,7 +273,7 @@ TEST(BatchRunner, JsonReportGuardsNonFiniteDoubles)
               std::count(j.begin(), j.end(), ']'));
 
     std::ostringstream csv;
-    BatchRunner::writeCsv(report, csv);
+    service::writeCsvReport(report, csv);
     EXPECT_EQ(csv.str().find("nan"), std::string::npos);
     EXPECT_EQ(csv.str().find("inf"), std::string::npos);
 }
@@ -300,7 +300,7 @@ TEST(BatchRunner, MetricsRegistryCollectsWholeBatchTotals)
     for (const auto &rec : report.records) {
         EXPECT_FALSE(rec.metrics.empty()) << rec.name;
         std::ostringstream json;
-        BatchRunner::writeJson(report, json);
+        service::writeJsonReport(report, json);
         EXPECT_NE(json.str().find("\"metrics\": {"),
                   std::string::npos);
     }

@@ -1,12 +1,36 @@
 #include <gtest/gtest.h>
 
+/**
+ * @file
+ * The equivalence-preserving preprocessing contract: simplify::Pipeline
+ * with only unit propagation, subsumption and self-subsuming
+ * resolution keeps the formula equivalent over the original
+ * variables, so the fixed units alone extend any model.
+ */
+
 #include "sat/brute_force.h"
-#include "sat/simplify.h"
 #include "sat/solver.h"
+#include "simplify/pipeline.h"
 #include "tests/sat/helpers.h"
 
 namespace hyqsat::sat {
 namespace {
+
+/** The equivalence-preserving pass set (no SCC, probing, BVE...). */
+simplify::Options
+equivalenceOptions()
+{
+    simplify::Options opts;
+    opts.equivalent_literals = false;
+    return opts;
+}
+
+simplify::Result
+simplifyCnf(const Cnf &cnf,
+            const simplify::Options &opts = equivalenceOptions())
+{
+    return simplify::Pipeline(opts).run(cnf);
+}
 
 TEST(Simplify, EmptyFormulaUnchanged)
 {
@@ -25,7 +49,7 @@ TEST(Simplify, UnitPropagationFixesChain)
     cnf.addClause(mkLit(1, true), mkLit(2));
     const auto r = simplifyCnf(cnf);
     EXPECT_TRUE(r.satisfiable_possible);
-    EXPECT_EQ(r.units_propagated, 3);
+    EXPECT_EQ(r.stats.units, 3);
     EXPECT_EQ(r.cnf.numClauses(), 0);
     const auto model = r.extendModel(std::vector<bool>(3, false));
     EXPECT_TRUE(cnf.eval(model));
@@ -46,7 +70,7 @@ TEST(Simplify, TautologiesDropped)
     cnf.addClause(mkLit(0), mkLit(0, true));
     cnf.addClause(mkLit(0), mkLit(1));
     const auto r = simplifyCnf(cnf);
-    EXPECT_EQ(r.tautologies, 1);
+    EXPECT_EQ(r.stats.tautologies, 1);
     EXPECT_EQ(r.cnf.numClauses(), 1);
 }
 
@@ -57,7 +81,7 @@ TEST(Simplify, SubsumptionRemovesSuperset)
     cnf.addClause(mkLit(0), mkLit(1));
     cnf.addClause(mkLit(0), mkLit(1), mkLit(2));
     const auto r = simplifyCnf(cnf);
-    EXPECT_EQ(r.subsumed, 1);
+    EXPECT_EQ(r.stats.subsumed, 1);
     EXPECT_EQ(r.cnf.numClauses(), 1);
     EXPECT_EQ(r.cnf.clause(0).size(), 2u);
 }
@@ -76,7 +100,7 @@ TEST(Simplify, SelfSubsumptionStrengthens)
     cnf.addClause(mkLit(0), mkLit(1));
     cnf.addClause(mkLit(0, true), mkLit(1), mkLit(2));
     const auto r = simplifyCnf(cnf);
-    EXPECT_GE(r.strengthened, 1);
+    EXPECT_GE(r.stats.strengthened, 1);
     // Equivalence: brute force agrees.
     EXPECT_EQ(bruteForceSolve(cnf).satisfiable,
               bruteForceSolve(r.cnf).satisfiable);
@@ -116,9 +140,9 @@ TEST(Simplify, IdempotentOnFixpoint)
     const Cnf cnf = testing::randomCnf(20, 80, 3, rng);
     const auto once = simplifyCnf(cnf);
     const auto twice = simplifyCnf(once.cnf);
-    EXPECT_EQ(twice.units_propagated, 0);
-    EXPECT_EQ(twice.subsumed, 0);
-    EXPECT_EQ(twice.strengthened, 0);
+    EXPECT_EQ(twice.stats.units, 0);
+    EXPECT_EQ(twice.stats.subsumed, 0);
+    EXPECT_EQ(twice.stats.strengthened, 0);
     EXPECT_EQ(twice.cnf.numClauses(), once.cnf.numClauses());
 }
 
@@ -127,11 +151,11 @@ TEST(Simplify, OptionsDisablePasses)
     Cnf cnf(3);
     cnf.addClause(mkLit(0), mkLit(1));
     cnf.addClause(mkLit(0), mkLit(1), mkLit(2));
-    SimplifyOptions opts;
+    simplify::Options opts = equivalenceOptions();
     opts.subsumption = false;
     opts.self_subsumption = false;
     const auto r = simplifyCnf(cnf, opts);
-    EXPECT_EQ(r.subsumed, 0);
+    EXPECT_EQ(r.stats.subsumed, 0);
     EXPECT_EQ(r.cnf.numClauses(), 2);
 }
 

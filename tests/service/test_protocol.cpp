@@ -12,6 +12,13 @@
 namespace hyqsat::service {
 namespace {
 
+/** The value @p req's override list gives @p key ("" = unset). */
+std::string
+knob(const Request &req, const std::string &key)
+{
+    return core::knobValue(req.overrides, key);
+}
+
 TEST(ServiceProtocol, SplitTokensSkipsBlankRuns)
 {
     const auto tokens = splitTokens("  SUBMIT\tacme  3 job-1\r");
@@ -46,13 +53,15 @@ TEST(ServiceProtocol, SubmitSimplifyOption)
         parseRequest("SUBMIT acme 3 job-1 simplify=full");
     EXPECT_EQ(req.verb, Verb::Submit);
     EXPECT_EQ(req.name, "job-1");
-    EXPECT_EQ(req.simplify, "full");
-    EXPECT_EQ(parseRequest("SUBMIT acme 3 j simplify=off").simplify,
+    EXPECT_EQ(knob(req, "simplify"), "full");
+    EXPECT_EQ(knob(parseRequest("SUBMIT acme 3 j simplify=off"),
+                   "simplify"),
               "off");
-    EXPECT_EQ(parseRequest("SUBMIT acme 3 j simplify=light").simplify,
+    EXPECT_EQ(knob(parseRequest("SUBMIT acme 3 j simplify=light"),
+                   "simplify"),
               "light");
     // A plain SUBMIT leaves the override empty (daemon default).
-    EXPECT_TRUE(parseRequest("SUBMIT acme 3 job-1").simplify.empty());
+    EXPECT_TRUE(parseRequest("SUBMIT acme 3 job-1").overrides.empty());
     // Misspelled levels and foreign key=value tokens stay Invalid.
     EXPECT_EQ(parseRequest("SUBMIT acme 3 j simplify=max").verb,
               Verb::Invalid);
@@ -69,23 +78,26 @@ TEST(ServiceProtocol, SubmitTopologyAndReadsBatchOptions)
         "SUBMIT acme 3 job-1 reads_batch=1 topology=pegasus "
         "simplify=light");
     EXPECT_EQ(req.verb, Verb::Submit);
-    EXPECT_EQ(req.simplify, "light");
-    EXPECT_EQ(req.topology, "pegasus");
-    EXPECT_EQ(req.reads_batch, 1);
+    EXPECT_EQ(knob(req, "simplify"), "light");
+    EXPECT_EQ(knob(req, "topology"), "pegasus");
+    EXPECT_EQ(knob(req, "reads_batch"), "1");
 
     const Request chimera =
         parseRequest("SUBMIT acme 0 j topology=chimera");
     EXPECT_EQ(chimera.verb, Verb::Submit);
-    EXPECT_EQ(chimera.topology, "chimera");
-    EXPECT_EQ(chimera.reads_batch, -1) << "unset keeps the default";
-    EXPECT_EQ(parseRequest("SUBMIT acme 0 j reads_batch=0").reads_batch,
-              0);
+    EXPECT_EQ(knob(chimera, "topology"), "chimera");
+    EXPECT_EQ(knob(chimera, "reads_batch"), "")
+        << "unset keeps the default";
+    EXPECT_EQ(knob(parseRequest("SUBMIT acme 0 j reads_batch=0"),
+                   "reads_batch"),
+              "0");
 
     // Defaults when absent; bad values stay Invalid.
     const Request plain = parseRequest("SUBMIT acme 3 job-1");
-    EXPECT_TRUE(plain.topology.empty());
-    EXPECT_EQ(plain.reads_batch, -1);
-    EXPECT_EQ(parseRequest("SUBMIT acme 3 j topology=zephyr").topology,
+    EXPECT_TRUE(knob(plain, "topology").empty());
+    EXPECT_EQ(knob(plain, "reads_batch"), "");
+    EXPECT_EQ(knob(parseRequest("SUBMIT acme 3 j topology=zephyr"),
+                   "topology"),
               "zephyr");
     EXPECT_EQ(parseRequest("SUBMIT acme 3 j topology=kite").verb,
               Verb::Invalid);
@@ -98,19 +110,19 @@ TEST(ServiceProtocol, SubmitTopologyAndReadsBatchOptions)
 TEST(ServiceProtocol, SubmitReadsGroupsOption)
 {
     // reads_groups= composes with every other override; 0 means
-    // auto-sized lockstep groups, -1 (absent) keeps the daemon
-    // default.
+    // auto-sized lockstep groups, absent keeps the daemon default.
     const Request req = parseRequest(
         "SUBMIT acme 2 job-9 reads_batch=1 reads_groups=4 "
         "topology=zephyr simplify=off");
     EXPECT_EQ(req.verb, Verb::Submit);
-    EXPECT_EQ(req.reads_batch, 1);
-    EXPECT_EQ(req.reads_groups, 4);
-    EXPECT_EQ(req.topology, "zephyr");
+    EXPECT_EQ(knob(req, "reads_batch"), "1");
+    EXPECT_EQ(knob(req, "reads_groups"), "4");
+    EXPECT_EQ(knob(req, "topology"), "zephyr");
 
-    EXPECT_EQ(parseRequest("SUBMIT t 0 j reads_groups=0").reads_groups,
-              0);
-    EXPECT_EQ(parseRequest("SUBMIT t 0 j").reads_groups, -1)
+    EXPECT_EQ(knob(parseRequest("SUBMIT t 0 j reads_groups=0"),
+                   "reads_groups"),
+              "0");
+    EXPECT_EQ(knob(parseRequest("SUBMIT t 0 j"), "reads_groups"), "")
         << "unset keeps the daemon default";
 
     // Bounds and syntax: negative, huge, and junk stay Invalid.

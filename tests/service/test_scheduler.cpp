@@ -99,17 +99,18 @@ TEST(JobScheduler, SimplifyOverrideEchoedInRecord)
 {
     JobScheduler scheduler(smallOptions());
     JobSpec spec = inlineJob("default", 0, "easy", kSatCnf);
-    spec.simplify = "full";
+    spec.overrides = {{"simplify", "full"}};
     const Submission sub = scheduler.submit(std::move(spec));
     ASSERT_TRUE(sub.accepted);
     const InstanceRecord rec = scheduler.wait(sub.id);
     EXPECT_EQ(rec.status, "SAT");
-    EXPECT_EQ(rec.simplify, "full");
+    EXPECT_EQ(core::knobValue(rec.knobs, "simplify"), "full");
     // Without an override the record echoes the configured default.
     const Submission plain =
         scheduler.submit(inlineJob("default", 0, "easy2", kSatCnf));
     ASSERT_TRUE(plain.accepted);
-    EXPECT_EQ(scheduler.wait(plain.id).simplify, "off");
+    EXPECT_EQ(core::knobValue(scheduler.wait(plain.id).knobs, "simplify"),
+              "off");
 }
 
 TEST(JobScheduler, MalformedDimacsReportsParseError)

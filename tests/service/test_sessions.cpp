@@ -54,11 +54,11 @@ TEST(SessionProtocol, OpenParsesTenantAndSimplify)
     Request req = parseRequest("OPEN acme");
     EXPECT_EQ(req.verb, Verb::Open);
     EXPECT_EQ(req.tenant, "acme");
-    EXPECT_EQ(req.simplify, "");
+    EXPECT_EQ(core::knobValue(req.overrides, "simplify"), "");
 
     req = parseRequest("OPEN acme simplify=full");
     EXPECT_EQ(req.verb, Verb::Open);
-    EXPECT_EQ(req.simplify, "full");
+    EXPECT_EQ(core::knobValue(req.overrides, "simplify"), "full");
 
     EXPECT_EQ(parseRequest("OPEN acme simplify=bogus").verb,
               Verb::Invalid);
@@ -129,7 +129,7 @@ TEST(SessionProtocol, CoreRoundTrips)
 TEST(SessionManager, OpenAddAssumeSolveCoreCloseLifecycle)
 {
     SessionManager manager(smallSessionOptions());
-    const OpenResult open = manager.open("acme", "");
+    const OpenResult open = manager.open("acme");
     ASSERT_TRUE(open.accepted) << open.reject_reason;
     ASSERT_NE(open.id, 0u);
 
@@ -169,7 +169,7 @@ TEST(SessionManager, OpenAddAssumeSolveCoreCloseLifecycle)
 TEST(SessionManager, AddRejectsMalformedBodies)
 {
     SessionManager manager(smallSessionOptions());
-    const OpenResult open = manager.open("acme", "");
+    const OpenResult open = manager.open("acme");
     ASSERT_TRUE(open.accepted);
     EXPECT_NE(manager.add(open.id, "1 two 0\n"), "");
     EXPECT_NE(manager.add(open.id, "1 2 3\n"), ""); // missing 0
@@ -189,14 +189,14 @@ TEST(SessionManager, AdmissionCapsRejectWithReasons)
     opts.max_per_tenant = 2;
     SessionManager manager(opts);
 
-    ASSERT_TRUE(manager.open("a", "").accepted);
-    ASSERT_TRUE(manager.open("a", "").accepted);
-    const OpenResult tenant_full = manager.open("a", "");
+    ASSERT_TRUE(manager.open("a").accepted);
+    ASSERT_TRUE(manager.open("a").accepted);
+    const OpenResult tenant_full = manager.open("a");
     EXPECT_FALSE(tenant_full.accepted);
     EXPECT_EQ(tenant_full.reject_reason, "tenant_sessions_full");
 
-    ASSERT_TRUE(manager.open("b", "").accepted);
-    const OpenResult global_full = manager.open("c", "");
+    ASSERT_TRUE(manager.open("b").accepted);
+    const OpenResult global_full = manager.open("c");
     EXPECT_FALSE(global_full.accepted);
     EXPECT_EQ(global_full.reject_reason, "sessions_full");
     EXPECT_EQ(manager.active(), 3u);
@@ -205,13 +205,13 @@ TEST(SessionManager, AdmissionCapsRejectWithReasons)
 TEST(SessionManager, DrainRejectsOpensButServesLiveSessions)
 {
     SessionManager manager(smallSessionOptions());
-    const OpenResult open = manager.open("acme", "");
+    const OpenResult open = manager.open("acme");
     ASSERT_TRUE(open.accepted);
     EXPECT_EQ(manager.add(open.id, "1 2 0\n"), "");
 
     manager.drain();
     EXPECT_TRUE(manager.draining());
-    const OpenResult rejected = manager.open("acme", "");
+    const OpenResult rejected = manager.open("acme");
     EXPECT_FALSE(rejected.accepted);
     EXPECT_EQ(rejected.reject_reason, "draining");
 
@@ -228,11 +228,11 @@ TEST(SessionManager, MetricsInvariantOpenedEqualsClosedPlusActive)
     opts.metrics = &registry;
     {
         SessionManager manager(opts);
-        const OpenResult a = manager.open("a", "");
-        const OpenResult b = manager.open("b", "");
+        const OpenResult a = manager.open("a");
+        const OpenResult b = manager.open("b");
         ASSERT_TRUE(a.accepted);
         ASSERT_TRUE(b.accepted);
-        manager.open("a", "simplify=bogus-is-kept-default");
+        manager.open("a", {{"simplify", "bogus-is-kept-default"}});
         EXPECT_TRUE(manager.close(a.id));
 
         EXPECT_EQ(registry.counter("session.opened")->value(), 3u);
@@ -255,13 +255,13 @@ TEST(SessionManager, SimplifyOverridePerSession)
     SessionManagerOptions opts = smallSessionOptions();
     opts.hybrid.simplify_strength = simplify::Strength::Off;
     SessionManager manager(opts);
-    const OpenResult open = manager.open("acme", "full");
+    const OpenResult open = manager.open("acme", {{"simplify", "full"}});
     ASSERT_TRUE(open.accepted);
     EXPECT_EQ(manager.add(open.id, "1 2 0\n-1 2 0\n"), "");
     const auto rec = manager.solve(open.id);
     ASSERT_TRUE(rec.has_value());
     EXPECT_EQ(rec->status, "SAT");
-    EXPECT_EQ(rec->simplify, "full");
+    EXPECT_EQ(core::knobValue(rec->knobs, "simplify"), "full");
 }
 
 // ---------------------------------------------------------------
