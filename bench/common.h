@@ -48,9 +48,9 @@ instancesFor(const gen::Benchmark &benchmark)
 
 /**
  * Backend selection for the whole bench suite: HYQSAT_SAMPLER names
- * the sampling backend ("sync", "qa", "logical", "sa", "batch",
- * "async", "async:<backend>") and HYQSAT_PIPELINE_DEPTH sets the
- * async in-flight depth. Unset keeps the classic blocking loop.
+ * the sampling backend ("sync", "qa", "logical", "sa", "async",
+ * "async:<backend>") and HYQSAT_PIPELINE_DEPTH sets the async
+ * in-flight depth. Unset keeps the classic blocking loop.
  */
 inline void
 applySamplerEnv(core::HybridConfig &cfg)

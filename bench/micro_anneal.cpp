@@ -14,18 +14,12 @@
  *           once per model, cached local fields updated
  *           incrementally on accepted flips (O(1) delta reads,
  *           running energy), exp() skipped for downhill moves;
- *   reads4  the production sampler with num_reads = 4 independent
- *           chains raced on the shared WorkPool, best energy first;
- *   seq8    num_reads = 8 on the same WorkPool path — the sequential
- *           baseline the lockstep kernel is judged against (on one
- *           core the pool degrades to running the reads back to
- *           back);
  *   batch8  num_reads = 8 through the lockstep SIMD batch kernel
- *           (SaOptions::lockstep): all 8 reads advance through ONE
- *           instruction stream over the SoA layout, uniforms come
- *           from the BlockRng bulk fill and the Metropolis accept
- *           test is a table compare, on the widest ISA the host
- *           runs;
+ *           (one group, run on the caller): all 8 reads advance
+ *           through ONE instruction stream over the SoA layout,
+ *           uniforms come from the BlockRng bulk fill and the
+ *           Metropolis accept test is a table compare, on the
+ *           widest ISA the host runs;
  *   batch8_scalar  the same lockstep run pinned to the scalar
  *           fallback (HYQSAT_SIMD=scalar) — by contract bit-identical
  *           to batch8, timed to show what vector width alone buys;
@@ -225,12 +219,8 @@ main(int argc, char **argv)
         }
     }
 
-    anneal::SaOptions multi4 = opts;
-    multi4.num_reads = 4;
-    anneal::SaOptions multi8 = opts;
-    multi8.num_reads = 8;
-    anneal::SaOptions lock8 = multi8;
-    lock8.lockstep = true;
+    anneal::SaOptions lock8 = opts;
+    lock8.num_reads = 8;
 
     // Exactness gate 2: the lockstep kernel on the active ISA must
     // match its scalar fallback bit for bit (the batched contract).
@@ -264,7 +254,6 @@ main(int argc, char **argv)
         1, std::min(8, static_cast<int>(hw_threads)) - 1);
     anneal::SaOptions par64_opts = opts;
     par64_opts.num_reads = 64;
-    par64_opts.lockstep = true;
     const auto par_compiled =
         anneal::SaCompiled::build(model, /*include_zero=*/false);
     const auto runPar = [&](std::uint64_t base,
@@ -295,19 +284,13 @@ main(int argc, char **argv)
     }
 
     constexpr std::uint64_t kPathSeed = 0xBEBADA5Eull;
-    Rng naive_rng(kPathSeed), csr_rng(kPathSeed), r4_rng(kPathSeed);
-    Rng s8_rng(kPathSeed), b8_rng(kPathSeed), b8s_rng(kPathSeed);
+    Rng naive_rng(kPathSeed), csr_rng(kPathSeed);
+    Rng b8_rng(kPathSeed), b8s_rng(kPathSeed);
     const PathTiming naive = timePath(reps, 1, [&](int) {
         return naiveSampleFresh(qubo, opts, naive_rng).energy;
     });
     const PathTiming csr = timePath(reps, 1, [&](int) {
         return csr_sampler.sample(opts, csr_rng).energy;
-    });
-    const PathTiming reads4 = timePath(reps, 4, [&](int) {
-        return csr_sampler.sample(multi4, r4_rng).energy;
-    });
-    const PathTiming seq8 = timePath(multi_reps, 8, [&](int) {
-        return csr_sampler.sample(multi8, s8_rng).energy;
     });
     const PathTiming batch8 = timePath(multi_reps, 8, [&](int) {
         return csr_sampler.sample(lock8, b8_rng).energy;
@@ -368,7 +351,6 @@ main(int argc, char **argv)
     // one instruction stream. Both sides are single-threaded, so the
     // ratio is core-count independent.
     const double reads_scaling = batch8.reads_per_s / csr.reads_per_s;
-    const double lockstep_vs_seq = batch8.reads_per_s / seq8.reads_per_s;
     const double vector_speedup =
         batch8.reads_per_s / batch8_scalar.reads_per_s;
     const double parallel_scaling =
@@ -383,19 +365,11 @@ main(int argc, char **argv)
                 "(%.2fx vs naive, bar >= 1x; best energy %.3f)\n",
                 csr.per_sample_us, csr.reads_per_s, csr_speedup,
                 csr.best_energy);
-    std::printf("reads4          %9.2f us/sample  %9.0f reads/s "
-                "(WorkPool, %u cores; best energy %.3f)\n",
-                reads4.per_sample_us, reads4.reads_per_s, hw,
-                reads4.best_energy);
-    std::printf("seq8            %9.2f us/sample  %9.0f reads/s "
-                "(WorkPool baseline; best energy %.3f)\n",
-                seq8.per_sample_us, seq8.reads_per_s,
-                seq8.best_energy);
     std::printf("batch8          %9.2f us/sample  %9.0f reads/s "
                 "(lockstep %s: %.2fx csr per-read, bar >= 3x; "
-                "%.2fx vs seq8; best energy %.3f)\n",
+                "best energy %.3f)\n",
                 batch8.per_sample_us, batch8.reads_per_s,
-                simd::isaName(active), reads_scaling, lockstep_vs_seq,
+                simd::isaName(active), reads_scaling,
                 batch8.best_energy);
     std::printf("batch8_scalar   %9.2f us/sample  %9.0f reads/s "
                 "(lockstep scalar fallback; vector width buys "
@@ -419,11 +393,8 @@ main(int argc, char **argv)
                 "vs naive, bar >= 3x: per-sample rebuild hoisted)\n",
                 csr_oh.per_sample_us, overhead_speedup);
 
-    // Execution contexts per row: the multi-read WorkPool rows use
-    // the shared pool plus the caller; lockstep batch rows run one
-    // group on the caller alone; par64 adds the dedicated helpers.
-    const int shared_contexts =
-        anneal::WorkPool::shared().numThreads() + 1;
+    // Execution contexts per row: lockstep batch rows run one group
+    // on the caller alone; par64 adds the dedicated helpers.
     const struct
     {
         const char *path;
@@ -438,12 +409,6 @@ main(int argc, char **argv)
                  1.0},
                 {"csr", &csr, "scalar", 1, 1, opts.sweeps, reps,
                  csr_speedup},
-                {"reads4", &reads4, "scalar", 4, shared_contexts,
-                 opts.sweeps, reps,
-                 naive.per_sample_us / reads4.per_sample_us},
-                {"seq8", &seq8, "scalar", 8, shared_contexts,
-                 opts.sweeps, multi_reps,
-                 naive.per_sample_us / seq8.per_sample_us},
                 {"batch8", &batch8, simd::isaName(active), 8, 1,
                  opts.sweeps, multi_reps,
                  naive.per_sample_us / batch8.per_sample_us},
@@ -467,7 +432,6 @@ main(int argc, char **argv)
                     "\"speedup_vs_naive\":%.3f,"
                     "\"num_reads\":%d,\"threads\":%d,"
                     "\"reads_scaling\":%.3f,"
-                    "\"lockstep_vs_seq\":%.3f,"
                     "\"parallel_scaling\":%.3f,"
                     "\"overhead_speedup\":%.3f,"
                     "\"reps\":%d,\"spins\":%d,\"sweeps\":%d,"
@@ -475,7 +439,7 @@ main(int argc, char **argv)
                     row.path, row.isa, row.t->wall_s,
                     row.t->per_sample_us, row.t->reads_per_s,
                     row.speedup_vs_naive, row.num_reads, row.threads,
-                    reads_scaling, lockstep_vs_seq, parallel_scaling,
+                    reads_scaling, parallel_scaling,
                     overhead_speedup, row.row_reps,
                     model.numSpins(), row.sweeps, row.t->best_energy);
         if (!std::strcmp(row.path, "batch8")) {

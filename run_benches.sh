@@ -22,13 +22,11 @@
 # wall-clock summary is printed at the end.
 #
 # Threading knob: HYQSAT_POOL_THREADS caps the shared WorkPool the
-# multi-read sampler rows (reads4/seq8) and the hybrid loop draw
-# from. It is carried through to every bench; for SMOKE runs of
-# micro_anneal it defaults to 2 when unset so the shared-pool rows
-# report the same thread count on every CI runner (an explicit
-# setting always wins). The dedicated-pool par64 rungs size
-# themselves from the hardware and ignore the knob by design — the
-# parallel_scaling bar must measure the machine, not the env.
+# hybrid loop's lockstep read groups draw from; it is carried through
+# to every bench. micro_anneal's batch8 rows run one group on the
+# caller, and its par64 rungs own dedicated pools sized from the
+# hardware, so they ignore the knob by design — the parallel_scaling
+# bar must measure the machine, not the env.
 cd "$(dirname "$0")"
 
 SMOKE=0
@@ -86,10 +84,7 @@ print_summary() {
 if [ "$SMOKE" = 1 ]; then
     run_bench build/bench/portfolio_scaling || exit 1
     run_bench build/bench/micro_frontend || exit 1
-    # Pin the shared pool for reproducible reads4/seq8 thread counts
-    # across runners; a caller-provided value is respected.
-    HYQSAT_POOL_THREADS="${HYQSAT_POOL_THREADS:-2}" \
-        run_bench build/bench/micro_anneal || exit 1
+    run_bench build/bench/micro_anneal || exit 1
     run_bench build/bench/micro_simplify || exit 1
     run_bench build/bench/micro_incremental || exit 1
     print_summary

@@ -304,7 +304,6 @@ QuantumAnnealer::sample(const qubo::EncodedProblem &problem,
     sa.beta_end = opts_.noise.beta_final;
     sa.greedy_finish = opts_.greedy_finish;
     sa.num_reads = opts_.num_reads;
-    sa.lockstep = opts_.reads_batch;
     sa.reads_groups = opts_.reads_groups;
 
     const std::vector<int> &spin_node = cp->spin_node;
@@ -416,7 +415,6 @@ QuantumAnnealer::sampleLogical(const qubo::EncodedProblem &problem,
     sa.beta_end = opts_.noise.beta_final;
     sa.greedy_finish = opts_.greedy_finish;
     sa.num_reads = opts_.num_reads;
-    sa.lockstep = opts_.reads_batch;
     sa.reads_groups = opts_.reads_groups;
 
     bool have_best = false;

@@ -97,30 +97,23 @@ class QuantumAnnealer
         int attempts = 1;
 
         /**
-         * Independent annealing chains per internal anneal (the
+         * Independent annealing reads per internal anneal (the
          * device analogue of requesting num_reads samples and
-         * keeping the best); chains run in parallel on the shared
-         * WorkPool. 1 reproduces the single-chain annealer exactly,
-         * including its RNG stream.
+         * keeping the best). 1 reproduces the single-chain annealer
+         * exactly, including its RNG stream; more reads run as
+         * lockstep SIMD groups (SaOptions::num_reads), which have
+         * their own determinism contract.
          */
         int num_reads = 1;
 
         /**
-         * Run multi-read anneals through the lockstep SIMD batch
-         * kernel instead of WorkPool threads (SaOptions::lockstep):
-         * same best-of-N semantics, its own determinism contract.
-         * No effect at num_reads <= 1.
-         */
-        bool reads_batch = false;
-
-        /**
-         * Parallel lockstep groups for the batched path
+         * Parallel lockstep groups for multi-read anneals
          * (SaOptions::reads_groups): 0 auto-sizes groups of up to 8
          * SIMD lanes and fans them across the shared WorkPool, so
          * the per-core vector speedup compounds with core count; 1
-         * forces the single-group path. Results stay a pure function
-         * of (seed, model, options) for every value — the partition
-         * never depends on the machine. No effect unless reads_batch.
+         * forces a single group. Results stay a pure function of
+         * (seed, model, options) for every value — the partition
+         * never depends on the machine. No effect at num_reads <= 1.
          */
         int reads_groups = 0;
 

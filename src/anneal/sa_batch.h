@@ -2,8 +2,9 @@
  * @file
  * Lockstep multi-read simulated annealing: N decorrelated reads
  * advance through ONE instruction stream over an SoA spin/local-field
- * layout, so num_reads pays for itself on a single core instead of
- * relying on WorkPool threads.
+ * layout, so num_reads pays for itself on a single core. This is the
+ * only multi-read path: SaSampler::sampleAll runs every num_reads > 1
+ * sample here.
  *
  * Layout: spin i of read r lives at [i * lanes + r] as a double
  * (+1.0 / -1.0); the cached local fields use the same stride. Every

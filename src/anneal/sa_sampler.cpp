@@ -5,7 +5,6 @@
 
 #include "anneal/sa_batch.h"
 #include "anneal/schedule.h"
-#include "anneal/work_pool.h"
 
 namespace hyqsat::anneal {
 
@@ -32,14 +31,11 @@ constexpr double kBoundaryBand = 1e-9;
  */
 constexpr double kExpUnderflow = 746.0;
 
-/** Aux-read seed decorrelation (same constant as portfolio seeds). */
-constexpr std::uint64_t kReadSeedStride = 0x9e3779b97f4a7c15ull;
-
 /**
  * Per-thread memo of the inverse-temperature ramp and the per-sweep
  * acceptance threshold table (the dE beyond which exp underflows):
  * consecutive samples reuse the same schedule, so rebuild only when
- * the options change. Thread-local so pool chains never share.
+ * the options change. Thread-local so concurrent callers never share.
  */
 struct ScheduleMemo
 {
@@ -384,63 +380,24 @@ std::vector<SaResult>
 SaSampler::sampleAll(const SaOptions &opts, Rng &rng) const
 {
     const int reads = std::max(opts.num_reads, 1);
-    std::vector<SaResult> out(reads);
     if (reads == 1) {
+        std::vector<SaResult> out(1);
         out[0] = runChain(opts, rng);
         return out;
     }
 
-    if (opts.lockstep) {
-        // The batched contract: one caller draw seeds the whole run
-        // (per-group bases + init lanes + Metropolis streams),
-        // results are bit-identical across ISAs and thread counts.
-        // sampleLockstep fans the lockstep groups across the shared
-        // WorkPool; each group writes its own disjoint result slots,
-        // so this single-threaded aggregation is the only merge and
-        // it happens contention-free after the barrier. Sorting and
-        // stats aggregation mirror the WorkPool path below.
-        const std::uint64_t base = rng.next();
-        out = sampleLockstep(*compiled_, h_, w_, opts, base,
-                             simd::activeIsa());
-        SaStats total;
-        total.reads = static_cast<std::uint64_t>(reads);
-        total.read_groups = static_cast<std::uint64_t>(
-            lockstepGroupCount(reads, opts.reads_groups));
-        for (const SaResult &r : out) {
-            total.sweeps += r.stats.sweeps;
-            total.flips_attempted += r.stats.flips_attempted;
-            total.flips_accepted += r.stats.flips_accepted;
-        }
-        std::stable_sort(out.begin(), out.end(),
-                         [](const SaResult &a, const SaResult &b) {
-                             return a.energy < b.energy;
-                         });
-        out.front().stats = total;
-        return out;
-    }
-
-    // Aux-read seeds derive from the caller stream's NEXT output
-    // without consuming it: read 0 runs on a copy of the caller Rng
-    // whose final state is copied back, so the caller-visible stream
-    // is that of a single read — and read 0's sample IS the
-    // num_reads=1 sample, making best-of-N monotone by construction.
-    Rng probe = rng;
-    const std::uint64_t base = probe.next();
-    Rng primary = rng;
-
-    WorkPool::shared().runIndexed(reads, [&](int k) {
-        if (k == 0) {
-            out[0] = runChain(opts, primary);
-        } else {
-            Rng aux(base + static_cast<std::uint64_t>(k) *
-                               kReadSeedStride);
-            out[static_cast<std::size_t>(k)] = runChain(opts, aux);
-        }
-    });
-    rng = primary;
-
+    // One caller draw seeds the whole run (per-group bases + init
+    // lanes + Metropolis streams); results are bit-identical across
+    // ISAs and thread counts. sampleLockstep fans the lockstep groups
+    // across the shared WorkPool; each group writes its own disjoint
+    // result slots, so this single-threaded aggregation is the only
+    // merge and it happens contention-free after the barrier.
+    std::vector<SaResult> out = sampleLockstep(
+        *compiled_, h_, w_, opts, rng.next(), simd::activeIsa());
     SaStats total;
     total.reads = static_cast<std::uint64_t>(reads);
+    total.read_groups = static_cast<std::uint64_t>(
+        lockstepGroupCount(reads, opts.reads_groups));
     for (const SaResult &r : out) {
         total.sweeps += r.stats.sweeps;
         total.flips_attempted += r.stats.flips_attempted;

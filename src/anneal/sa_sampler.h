@@ -26,13 +26,12 @@
  * precomputed alongside the beta schedule (where exp(-beta*dE) is
  * exactly 0.0 and no uniform can accept).
  *
- * Multi-chain sampling: SaOptions::num_reads runs independent chains
- * on the shared WorkPool. Read 0 consumes the caller's Rng exactly
- * like a single read (the caller's stream position afterwards is
- * identical), so num_reads=1 is the legacy sampler bit for bit and
- * best-of-N can only improve the returned energy; auxiliary reads
- * are decorrelated by splitmix64-style seed offsets like the
- * portfolio workers.
+ * Multi-read sampling: SaOptions::num_reads > 1 runs the reads as
+ * lockstep SIMD groups (src/anneal/sa_batch.h) fanned across the
+ * shared WorkPool. That path has its own contract: one caller draw
+ * seeds the whole run, and results are bit-identical across ISAs and
+ * pool sizes. Read 0 is NOT the num_reads=1 sample; only num_reads=1
+ * stays on the frozen scalar contract above.
  */
 
 #ifndef HYQSAT_ANNEAL_SA_SAMPLER_H
@@ -66,35 +65,24 @@ struct SaOptions
     bool greedy_finish = true;
 
     /**
-     * Independent annealing chains per sample; the best energy wins.
-     * Chains run in parallel on the shared WorkPool. 1 (the default)
-     * reproduces the single-chain sampler exactly.
+     * Independent annealing reads per sample; the best energy wins.
+     * 1 (the default) is the single-chain sampler exactly; more
+     * reads run through the lockstep SIMD batch kernel
+     * (src/anneal/sa_batch.h), whose determinism contract is its
+     * own: seeded from one caller draw, bit-identical across ISAs.
      */
     int num_reads = 1;
 
     /**
-     * Run multi-read samples through the lockstep SIMD batch kernel
-     * (src/anneal/sa_batch.h) instead of WorkPool threads: all reads
-     * advance through one instruction stream, so num_reads pays on a
-     * single core. Engages only when num_reads > 1; the num_reads=1
-     * path stays on the frozen scalar contract either way. The
-     * batched path has its OWN determinism contract (seeded from one
-     * caller draw, bit-identical across ISAs) — it does not
-     * reproduce the WorkPool reads' spins or RNG stream.
-     */
-    bool lockstep = false;
-
-    /**
-     * Number of parallel lockstep groups the batched path splits
-     * num_reads into; the groups fan out across the shared WorkPool
-     * so the SIMD per-core speedup compounds with core count.
+     * Number of parallel lockstep groups num_reads is split into;
+     * the groups fan out across the shared WorkPool so the SIMD
+     * per-core speedup compounds with core count.
      * 0 (the default) is auto: groups of up to 8 lanes, i.e.
-     * ceil(num_reads / 8) groups. 1 forces the PR 9 single-group
-     * behaviour for any read count. The effective partition is a
-     * pure function of (num_reads, reads_groups) — NEVER of the
-     * machine's core count, pool size or ISA — so batched results
-     * stay bit-identical across thread counts (see sa_batch.h).
-     * Ignored unless lockstep is set.
+     * ceil(num_reads / 8) groups. 1 forces a single group for any
+     * read count. The effective partition is a pure function of
+     * (num_reads, reads_groups) — NEVER of the machine's core count,
+     * pool size or ISA — so results stay bit-identical across thread
+     * counts (see sa_batch.h). Ignored at num_reads = 1.
      */
     int reads_groups = 0;
 };
@@ -258,9 +246,9 @@ class SaSampler
     /**
      * Run every read and return all samples ordered best-energy
      * first (stable: equal energies keep read order). The front
-     * result's stats aggregate the work of all reads. Read 0 runs
-     * against @p rng — afterwards @p rng has advanced exactly as a
-     * num_reads=1 call, regardless of the read count.
+     * result's stats aggregate the work of all reads. num_reads=1
+     * runs one chain against @p rng; more reads take exactly one
+     * draw from @p rng to seed the lockstep groups.
      */
     std::vector<SaResult> sampleAll(const SaOptions &opts,
                                     Rng &rng) const;

@@ -1,7 +1,8 @@
 #include "anneal/sampler.h"
 
+#include <algorithm>
+
 #include "anneal/async_sampler.h"
-#include "anneal/batch_sampler.h"
 #include "embed/hyqsat_embedder.h"
 #include "util/logging.h"
 #include "util/timer.h"
@@ -156,16 +157,33 @@ const std::vector<std::string> &
 samplerNames()
 {
     static const std::vector<std::string> names = {
-        "sync", "qa", "logical", "sa", "batch", "async",
+        "sync", "qa", "logical", "sa", "async",
     };
     return names;
+}
+
+bool
+isSamplerName(std::string_view name)
+{
+    constexpr std::string_view kAsync = "async:";
+    if (name.substr(0, kAsync.size()) == kAsync) {
+        name.remove_prefix(kAsync.size());
+        if (name == "async")
+            return false;
+    }
+    const auto &names = samplerNames();
+    return std::find(names.begin(), names.end(), name) != names.end();
 }
 
 std::unique_ptr<Sampler>
 makeSampler(const SamplerSpec &spec, const chimera::ChimeraGraph &graph)
 {
     const std::string &name = spec.name;
-    if (name == "sync" || name == "qa" || name.empty()) {
+    if (!isSamplerName(name))
+        fatal("unknown sampler backend '%s' (known: sync, qa, logical, "
+              "sa, async, async:<non-async backend>)",
+              name.c_str());
+    if (name == "sync" || name == "qa") {
         return std::make_unique<QaSampler>(graph, spec.annealer,
                                            /*force_logical=*/false,
                                            spec.metrics);
@@ -181,36 +199,21 @@ makeSampler(const SamplerSpec &spec, const chimera::ChimeraGraph &graph)
         opts.sa.beta_end = spec.annealer.noise.beta_final;
         opts.sa.greedy_finish = spec.annealer.greedy_finish;
         opts.sa.num_reads = spec.annealer.num_reads;
-        opts.sa.lockstep = spec.annealer.reads_batch;
         opts.sa.reads_groups = spec.annealer.reads_groups;
         opts.timing = spec.annealer.timing;
         opts.seed = spec.annealer.seed;
         return std::make_unique<SaDirectSampler>(opts, spec.metrics);
     }
-    if (name == "batch") {
-        BatchSampler::Options opts;
-        opts.samples = spec.batch_samples;
-        opts.annealer = spec.annealer;
-        opts.metrics = spec.metrics;
-        return std::make_unique<BatchSampler>(graph, opts);
-    }
-    if (name == "async" || name.rfind("async:", 0) == 0) {
-        SamplerSpec inner_spec = spec;
-        inner_spec.name =
-            name == "async" ? "qa" : name.substr(std::string("async:").size());
-        if (inner_spec.name.rfind("async", 0) == 0)
-            fatal("sampler '%s': async wrappers do not nest", name.c_str());
-        AsyncSampler::Options opts;
-        opts.depth = spec.pipeline_depth;
-        opts.rtt_us = spec.rtt_us;
-        opts.stop = spec.stop;
-        return std::make_unique<AsyncSampler>(
-            makeSampler(inner_spec, graph), opts);
-    }
-    fatal("unknown sampler backend '%s' (known: sync, qa, logical, sa, "
-          "batch, async, async:<backend>)",
-          name.c_str());
-    return nullptr; // unreachable
+    // The only names left are "async" and "async:<inner>".
+    SamplerSpec inner_spec = spec;
+    inner_spec.name =
+        name == "async" ? "qa" : name.substr(std::string("async:").size());
+    AsyncSampler::Options opts;
+    opts.depth = spec.pipeline_depth;
+    opts.rtt_us = spec.rtt_us;
+    opts.stop = spec.stop;
+    return std::make_unique<AsyncSampler>(makeSampler(inner_spec, graph),
+                                          opts);
 }
 
 } // namespace hyqsat::anneal

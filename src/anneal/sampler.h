@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "anneal/annealer.h"
@@ -237,17 +238,14 @@ class SaDirectSampler : public SyncSampler
  *   "sync" / "qa"  QuantumAnnealer device model (depth 1)
  *   "logical"      ideal all-to-all device (no embedding)
  *   "sa"           plain SA over the logical Ising model
- *   "batch"        thread-pool best-of-N QuantumAnnealer
  *   "async"        AsyncSampler-wrapped "qa" (depth >= 2)
- *   "async:<x>"    AsyncSampler wrapping backend <x>
+ *   "async:<x>"    AsyncSampler wrapping non-async backend <x>
+ * Best-of-N is annealer.num_reads on any of them, not a backend.
  */
 struct SamplerSpec
 {
     std::string name = "sync";
     QuantumAnnealer::Options annealer;
-
-    /** Independent seeds raced by the "batch" backend. */
-    int batch_samples = 4;
 
     /** In-flight depth for async backends (clamped to >= 2). */
     int pipeline_depth = 2;
@@ -269,12 +267,18 @@ struct SamplerSpec
     MetricsRegistry *metrics = nullptr;
 };
 
-/** Build a backend by name; fatal() on an unknown name. */
+/** Build a backend by name; fatal() unless isSamplerName(name). */
 std::unique_ptr<Sampler> makeSampler(const SamplerSpec &spec,
                                      const chimera::ChimeraGraph &graph);
 
 /** Known backend names (for --help strings). */
 const std::vector<std::string> &samplerNames();
+
+/**
+ * Whether makeSampler() builds @p name: one of samplerNames(), or
+ * "async:" followed by one that is not "async" (wrappers do not nest).
+ */
+bool isSamplerName(std::string_view name);
 
 } // namespace hyqsat::anneal
 

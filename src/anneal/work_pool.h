@@ -1,17 +1,16 @@
 /**
  * @file
  * Small shared thread pool for host-side sampling parallelism: the
- * multi-read SA chains, the BatchSampler's best-of-N racing and the
- * AsyncSampler's pipeline strand all draw from one process-wide set
- * of threads instead of spawning their own (PR 5; previously the
- * batch and async samplers each owned dedicated threads).
+ * multi-read lockstep groups and the AsyncSampler's pipeline strand
+ * both draw from one process-wide set of threads instead of spawning
+ * their own.
  *
  * Two primitives:
  *
  *  - runIndexed(n, fn): run fn(0..n-1), caller-participating. The
  *    caller claims indices alongside the pool threads and only
- *    returns once every index has finished, so nested use (a batch
- *    worker whose annealer fans out multi-read chains) can never
+ *    returns once every index has finished, so nested use (an async
+ *    strand whose annealer fans out lockstep groups) can never
  *    deadlock — with zero free pool threads the call degrades to a
  *    serial loop on the caller.
  *

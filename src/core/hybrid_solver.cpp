@@ -25,12 +25,9 @@ hybridSamplerSpec(const HybridConfig &config)
     // compose as "whoever asks for more reads wins".
     spec.annealer.num_reads =
         std::max({config.num_reads, config.annealer.num_reads, 1});
-    spec.annealer.reads_batch =
-        config.reads_batch || config.annealer.reads_batch;
     spec.annealer.reads_groups =
         config.reads_groups > 0 ? config.reads_groups
                                 : config.annealer.reads_groups;
-    spec.batch_samples = config.batch_samples;
     spec.pipeline_depth = std::max(config.pipeline_depth, 2);
     spec.rtt_us = config.rtt_us;
     spec.stop = config.stop;
@@ -38,9 +35,7 @@ hybridSamplerSpec(const HybridConfig &config)
     // pipeline; spelling "async" works too and defaults to depth 2.
     if (config.pipeline_depth >= 2 &&
         spec.name.rfind("async", 0) != 0) {
-        spec.name = spec.name.empty() || spec.name == "sync"
-                        ? "async"
-                        : "async:" + spec.name;
+        spec.name = spec.name == "sync" ? "async" : "async:" + spec.name;
     }
     return spec;
 }

@@ -70,7 +70,7 @@ struct HybridConfig
 
     /**
      * Sampling backend by name: "sync"/"qa" (blocking device model,
-     * the classic loop), "logical", "sa", "batch", "async" or
+     * the classic loop), "logical", "sa", "async" or
      * "async:<backend>". See anneal::makeSampler.
      */
     std::string sampler = "sync";
@@ -82,32 +82,24 @@ struct HybridConfig
      */
     int pipeline_depth = 1;
 
-    /** Independent seeds raced by the "batch" backend. */
-    int batch_samples = 4;
-
     /**
-     * Independent annealing chains per device sample, raced in
-     * parallel on the shared WorkPool; the best energy wins
-     * (anneal::SaOptions::num_reads). 1 reproduces the single-chain
-     * sampler bit for bit.
+     * Independent annealing reads per device sample; the best energy
+     * wins (anneal::SaOptions::num_reads). 1 reproduces the
+     * single-chain sampler bit for bit; more reads run as lockstep
+     * SIMD groups fanned across the shared WorkPool.
      */
     int num_reads = 1;
 
-    /**
-     * Run multi-read samples through the lockstep SIMD batch kernel
-     * (one instruction stream for all reads) instead of WorkPool
-     * threads — the single-core way to make num_reads pay. No
-     * effect at num_reads <= 1.
-     */
+    /** Unread; kept because perfbench/workloads.cpp still assigns it. */
     bool reads_batch = false;
 
     /**
-     * Parallel lockstep groups for the batched path
+     * Parallel lockstep groups for multi-read samples
      * (anneal::SaOptions::reads_groups): 0 auto-sizes groups of up
      * to 8 SIMD lanes fanned across the shared WorkPool, 1 forces a
      * single group, N pins the group count. Results are a pure
      * function of (seed, model, options) for every value. No effect
-     * unless reads_batch is set.
+     * at num_reads <= 1.
      */
     int reads_groups = 0;
 

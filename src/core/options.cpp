@@ -29,24 +29,18 @@ number(const char *name, Scope scope, T HybridConfig::*member, T lo, T hi)
             [=](const HybridConfig &c) { return std::to_string(c.*member); }};
 }
 
-/** A Switch knob; @p set receives the parsed 0|1. */
+/** A Switch knob (never echoed); @p set receives the parsed 0|1. */
 Knob
-toggle(const char *name, Scope scope, void (*set)(HybridConfig &, bool),
-       bool (*get)(const HybridConfig &) = nullptr)
+toggle(const char *name, Scope scope, void (*set)(HybridConfig &, bool))
 {
-    Knob k{name, Kind::Switch, scope, "0|1", "1",
-           [set](HybridConfig &c, std::string_view v) {
-               if (v != "0" && v != "1")
-                   return false;
-               set(c, v == "1");
-               return true;
-           },
-           nullptr};
-    if (get)
-        k.format = [get](const HybridConfig &c) {
-            return std::string(get(c) ? "1" : "0");
-        };
-    return k;
+    return {name, Kind::Switch, scope, "0|1", "1",
+            [set](HybridConfig &c, std::string_view v) {
+                if (v != "0" && v != "1")
+                    return false;
+                set(c, v == "1");
+                return true;
+            },
+            nullptr};
 }
 
 std::string
@@ -80,16 +74,12 @@ table()
          [](const HybridConfig &c) {
              return std::string(topology::kindName(c.topology));
          }},
-        toggle(
-            "reads-batch", Scope::Job,
-            [](HybridConfig &c, bool on) { c.reads_batch = on; },
-            [](const HybridConfig &c) { return c.reads_batch; }),
         number("reads-groups", Scope::Job, &HybridConfig::reads_groups, 0,
                kMaxCount),
-        // Unknown sampler names are fatal when the solver builds the
-        // backend (anneal::makeSampler).
         {"sampler", Kind::Word, Scope::Cli, samplerSyntax(), "",
          [](HybridConfig &c, std::string_view v) {
+             if (!anneal::isSamplerName(v))
+                 return false;
              c.sampler = std::string(v);
              return true;
          },

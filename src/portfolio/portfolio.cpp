@@ -24,6 +24,9 @@ mixSeed(std::uint64_t seed, std::uint64_t salt)
     return z ^ (z >> 31);
 }
 
+/** Rows of the diversify() table; later workers cycle through it. */
+constexpr int kDiversifySlots = 9;
+
 } // namespace
 
 PortfolioSolver::PortfolioSolver(PortfolioOptions opts)
@@ -41,7 +44,7 @@ PortfolioSolver::diversify(const core::HybridConfig &base, int n)
     for (int i = 0; i < n; ++i) {
         WorkerConfig w;
         w.hybrid = base;
-        switch (i % 10) {
+        switch (i % kDiversifySlots) {
         case 0:
             // Slot 0 IS the base config: a 1-worker portfolio must
             // reproduce the single solver bit for bit.
@@ -66,9 +69,11 @@ PortfolioSolver::diversify(const core::HybridConfig &base, int n)
                 std::max(base.pipeline_depth, 2);
             break;
         case 4:
-            // Best-of-N seed racing inside every sample.
-            w.label = "batch";
-            w.hybrid.sampler = "batch";
+            // Best-of-N inside every sample: 16 reads per device
+            // call through the lockstep SIMD kernel, fanned across
+            // the WorkPool in auto-sized groups of 8 lanes.
+            w.label = "reads";
+            w.hybrid.num_reads = std::max(base.num_reads, 16);
             break;
         case 5:
             // CHB branching / faster restarts on the CDCL side,
@@ -98,17 +103,6 @@ PortfolioSolver::diversify(const core::HybridConfig &base, int n)
             w.label = "presolve";
             w.hybrid.simplify_strength = simplify::Strength::Full;
             break;
-        case 9:
-            // Parallel lockstep reads: 16 decorrelated chains per
-            // device sample through the SIMD batch kernel, fanned
-            // across the WorkPool in auto-sized groups of 8 lanes.
-            // Since PR 10 the groups no longer serialize on one
-            // core, so this slot stops fighting the other workers
-            // for its throughput and earns a default seat.
-            w.label = "reads-batch";
-            w.hybrid.num_reads = std::max(base.num_reads, 16);
-            w.hybrid.reads_batch = true;
-            break;
         }
         if (i > 0) {
             // Decorrelate every RNG stream so identical variants in
@@ -119,8 +113,8 @@ PortfolioSolver::diversify(const core::HybridConfig &base, int n)
             w.hybrid.annealer.seed =
                 mixSeed(base.annealer.seed, salt);
         }
-        if (i >= 10)
-            w.label += "#" + std::to_string(i / 10);
+        if (i >= kDiversifySlots)
+            w.label += "#" + std::to_string(i / kDiversifySlots);
         slate.push_back(std::move(w));
     }
     return slate;

@@ -150,8 +150,8 @@ class PortfolioSolver
      * unchanged (so a 1-worker portfolio is exactly the single
      * solver); later slots vary sampler backend, pipeline depth,
      * branching, warm-up, clause-queue head selection,
-     * inprocessing strength and parallel lockstep reads (the
-     * dedicated reads-batch slot), each with decorrelated seeds.
+     * inprocessing strength and best-of-16 lockstep reads (the
+     * "reads" slot), each with decorrelated seeds.
      * Cycles with fresh seeds past the table.
      */
     static std::vector<WorkerConfig>

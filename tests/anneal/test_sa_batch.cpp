@@ -227,7 +227,7 @@ TEST(SaBatch, LockstepFindsFerromagneticGroundState)
 }
 
 // ----------------------------------------------------------------------
-// SaSampler integration: the lockstep flag
+// SaSampler integration: every multi-read sample runs lockstep
 // ----------------------------------------------------------------------
 
 TEST(SaBatch, SampleAllLockstepSortsAndAggregates)
@@ -237,7 +237,6 @@ TEST(SaBatch, SampleAllLockstepSortsAndAggregates)
     SaOptions opts;
     opts.sweeps = 64;
     opts.num_reads = 8;
-    opts.lockstep = true;
     Rng rng(77);
     const auto all = sampler.sampleAll(opts, rng);
     ASSERT_EQ(all.size(), 8u);
@@ -256,24 +255,6 @@ TEST(SaBatch, SampleAllLockstepSortsAndAggregates)
     }
 }
 
-TEST(SaBatch, SingleReadIgnoresLockstepFlag)
-{
-    // num_reads=1 must stay on the frozen scalar contract even with
-    // lockstep requested: identical sample, identical RNG stream.
-    const auto m = randomModel(16, 60);
-    SaSampler sampler(m);
-    SaOptions plain;
-    plain.sweeps = 48;
-    SaOptions locked = plain;
-    locked.lockstep = true;
-    Rng a(5), b(5);
-    const auto ra = sampler.sample(plain, a);
-    const auto rb = sampler.sample(locked, b);
-    EXPECT_EQ(ra.spins, rb.spins);
-    EXPECT_EQ(ra.energy, rb.energy);
-    EXPECT_EQ(a.next(), b.next());
-}
-
 TEST(SaBatch, LockstepConsumesExactlyOneCallerDraw)
 {
     const auto m = randomModel(16, 61);
@@ -281,7 +262,6 @@ TEST(SaBatch, LockstepConsumesExactlyOneCallerDraw)
     SaOptions opts;
     opts.sweeps = 32;
     opts.num_reads = 4;
-    opts.lockstep = true;
     Rng rng(9), witness(9);
     (void)sampler.sampleAll(opts, rng);
     (void)witness.next();
@@ -297,7 +277,6 @@ TEST(SaBatch, EnvOverrideToScalarKeepsResults)
     SaOptions opts;
     opts.sweeps = 48;
     opts.num_reads = 8;
-    opts.lockstep = true;
     Rng a(3);
     const auto fast = sampler.sampleAll(opts, a);
     ASSERT_EQ(setenv("HYQSAT_SIMD", "scalar", 1), 0);
@@ -329,14 +308,13 @@ TEST(SaBatch, GroupMovesMatchWorkPoolSemantics)
     SaOptions opts;
     opts.sweeps = 128;
     opts.num_reads = 8;
-    opts.lockstep = true;
     Rng rng(21);
     const auto best = sampler.sample(opts, rng);
     EXPECT_DOUBLE_EQ(best.energy, -2.0 * (n - 1) - 0.25);
 }
 
 // ----------------------------------------------------------------------
-// Annealer integration: Options::reads_batch
+// Annealer integration: Options::num_reads
 // ----------------------------------------------------------------------
 
 TEST(SaBatch, AnnealerReadsBatchSolvesAndCountsReads)
@@ -350,7 +328,6 @@ TEST(SaBatch, AnnealerReadsBatchSolvesAndCountsReads)
     opts.noise = NoiseModel::noiseFree();
     opts.greedy_finish = true;
     opts.num_reads = 4;
-    opts.reads_batch = true;
     QuantumAnnealer qa(g, opts);
 
     const auto s = qa.sample(fx.problem, fx.embedding);

@@ -12,9 +12,9 @@
  *
  * On top of the pinned table: bit-identity against the reference
  * sampler on continuous (non-dyadic) models — exercising the
- * boundary-band recompute guard — and the multi-read contracts
- * (num_reads=1 equivalence, best-of-N monotonicity, caller-stream
- * invariance under extra reads).
+ * boundary-band recompute guard — and num_reads=1 equivalence
+ * through sampleAll (multi-read runs have their own lockstep
+ * contract, pinned in test_sa_batch.cpp).
  */
 
 #include <gtest/gtest.h>
@@ -24,9 +24,7 @@
 
 #include "anneal/sa_reference.h"
 #include "anneal/sa_sampler.h"
-#include "qubo/encoder.h"
 #include "qubo/qubo.h"
-#include "sat/types.h"
 #include "util/rng.h"
 
 namespace hyqsat::anneal {
@@ -242,80 +240,8 @@ TEST(SaGolden, StatsCountWork)
 }
 
 // ----------------------------------------------------------------------
-// Multi-read contracts
+// num_reads = 1 through sampleAll
 // ----------------------------------------------------------------------
-
-/** Random 3-SAT clauses encoded to the logical Ising model. */
-qubo::IsingModel
-encodedSatModel(int vars, int clauses, std::uint64_t seed)
-{
-    Rng rng(seed);
-    std::vector<sat::LitVec> cls;
-    for (int c = 0; c < clauses; ++c) {
-        sat::LitVec cl;
-        while (cl.size() < 3) {
-            const auto v = static_cast<sat::Var>(rng.below(vars));
-            bool dup = false;
-            for (const sat::Lit &l : cl)
-                dup = dup || l.var() == v;
-            if (!dup)
-                cl.push_back(sat::mkLit(v, rng.chance(0.5)));
-        }
-        cls.push_back(cl);
-    }
-    return quboToIsing(qubo::encodeClauses(cls).normalized);
-}
-
-TEST(SaGolden, CallerStreamInvariantUnderExtraReads)
-{
-    const auto model = encodedSatModel(12, 50, 0xF1608ull);
-    SaSampler sampler(model);
-    SaOptions single;
-    single.sweeps = 48;
-    SaOptions multi = single;
-    multi.num_reads = 8;
-
-    Rng rng_single(0x5111ull);
-    Rng rng_multi(0x5111ull);
-    const SaResult one = sampler.sample(single, rng_single);
-    const auto all = sampler.sampleAll(multi, rng_multi);
-    ASSERT_EQ(all.size(), 8u);
-
-    // Read 0 runs on the caller's stream and the stream is copied
-    // back: afterwards the caller cannot tell how many reads ran.
-    EXPECT_EQ(rng_single.next(), rng_multi.next());
-
-    // Best-first order, with the front aggregating all reads' work.
-    for (std::size_t k = 1; k < all.size(); ++k)
-        EXPECT_LE(all[k - 1].energy, all[k].energy);
-    EXPECT_EQ(all.front().stats.reads, 8u);
-    EXPECT_GE(all.front().stats.flips_attempted,
-              8 * one.stats.flips_attempted / 2);
-}
-
-TEST(SaGolden, BestOfNIsMonotone)
-{
-    // Because read 0 IS the single-read sample, best-of-8 can never
-    // return a worse energy than num_reads=1 from the same Rng state.
-    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-        const auto model =
-            encodedSatModel(14, 58, 0xF1608ull + seed * 977);
-        SaSampler sampler(model);
-        SaOptions single;
-        single.sweeps = 40;
-        SaOptions multi = single;
-        multi.num_reads = 8;
-
-        Rng rng_single(0xAB0ull + seed);
-        Rng rng_multi(0xAB0ull + seed);
-        const SaResult one = sampler.sample(single, rng_single);
-        const SaResult best = sampler.sample(multi, rng_multi);
-        EXPECT_LE(best.energy, one.energy) << "seed " << seed;
-        // And every returned sample is self-consistent (running
-        // energy vs re-scan: rounding only).
-        EXPECT_NEAR(best.energy, sampler.energy(best.spins), 1e-9);
-    }
-}
 
 TEST(SaGolden, NumReadsOneIsIdenticalThroughSampleAll)
 {

@@ -178,7 +178,6 @@ TEST(SaParallel, SamplerAggregatesGroupStats)
     SaOptions opts;
     opts.sweeps = 32;
     opts.num_reads = 20;
-    opts.lockstep = true;
     opts.reads_groups = 0; // auto: 3 groups
     Rng rng(11);
     const auto all = sampler.sampleAll(opts, rng);

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "anneal/async_sampler.h"
-#include "anneal/batch_sampler.h"
 #include "anneal/sampler.h"
 #include "embed/hyqsat_embedder.h"
 #include "tests/sat/helpers.h"
@@ -119,47 +118,6 @@ TEST(Sampler, SaDirectSamplerDeterministicPerSeed)
     EXPECT_EQ(sa.chain_breaks, 0);
 }
 
-TEST(Sampler, BatchSamplerNeverWorseThanItsFirstWorker)
-{
-    const auto g = chimera::ChimeraGraph::dwave2000q();
-    const auto request = requestFixture(g, 33);
-
-    // Worker 0 of the batch uses the base seed, so the single-sample
-    // stream is one of the raced candidates: best-of-N can only be
-    // at least as good.
-    QuantumAnnealer::Options noisy;
-    noisy.noise.readout_flip_prob = 0.1;
-    QaSampler single(g, noisy);
-    BatchSampler::Options bopts;
-    bopts.samples = 4;
-    bopts.annealer = noisy;
-    BatchSampler batch(g, bopts);
-    EXPECT_EQ(batch.numWorkers(), 4);
-
-    const auto s = single.sampleNow(request);
-    const auto b = batch.sampleNow(request);
-    EXPECT_LE(b.clause_energy, s.clause_energy);
-    // Device model: N consecutive anneal-readout cycles.
-    EXPECT_DOUBLE_EQ(b.device_time_us,
-                     noisy.timing.sampleTimeUs(4));
-}
-
-TEST(Sampler, BatchSamplerDeterministicAcrossRuns)
-{
-    const auto g = chimera::ChimeraGraph::dwave2000q();
-    const auto request = requestFixture(g, 44);
-    BatchSampler::Options opts;
-    opts.samples = 3;
-    opts.annealer.noise.readout_flip_prob = 0.05;
-
-    BatchSampler a(g, opts), b(g, opts);
-    const auto sa = a.sampleNow(request);
-    const auto sb = b.sampleNow(request);
-    EXPECT_EQ(sa.node_bits, sb.node_bits);
-    EXPECT_DOUBLE_EQ(sa.clause_energy, sb.clause_energy);
-    EXPECT_EQ(sa.chain_breaks, sb.chain_breaks);
-}
-
 TEST(Sampler, AsyncSamplerDeliversEverySubmissionInOrder)
 {
     const auto g = chimera::ChimeraGraph::dwave2000q();
@@ -226,7 +184,6 @@ TEST(Sampler, FactoryBuildsEveryNamedBackend)
         SamplerSpec spec;
         spec.name = name;
         spec.annealer = noiseFreeOptions();
-        spec.batch_samples = 2;
         const auto sampler = makeSampler(spec, g);
         ASSERT_NE(sampler, nullptr) << name;
         const auto s = sampler->sampleNow(request);
@@ -262,6 +219,14 @@ TEST(Sampler, FactoryRejectsUnknownAndNestedNames)
     nested.name = "async:async";
     EXPECT_EXIT(makeSampler(nested, g), ::testing::ExitedWithCode(1),
                 "");
+
+    // The CLI knob validates with the same check at parse time.
+    for (const char *name : {"sync", "qa", "logical", "sa", "async",
+                             "async:qa", "async:sa", "async:logical"})
+        EXPECT_TRUE(isSamplerName(name)) << name;
+    for (const char *name : {"", "batch", "bogus", "async:",
+                             "async:async", "async:async:qa", "async:batch"})
+        EXPECT_FALSE(isSamplerName(name)) << name;
 }
 
 } // namespace

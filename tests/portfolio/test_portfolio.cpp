@@ -239,8 +239,8 @@ TEST(PortfolioSolver, SharingStaysSound)
 TEST(PortfolioSolver, DiversifyTableShape)
 {
     const auto base = noiseFreeConfig(0xabcdef);
-    const auto slate = PortfolioSolver::diversify(base, 10);
-    ASSERT_EQ(slate.size(), 10u);
+    const auto slate = PortfolioSolver::diversify(base, 9);
+    ASSERT_EQ(slate.size(), 9u);
 
     // Slot 0 is the base config untouched (the determinism anchor).
     EXPECT_EQ(slate[0].hybrid.seed, base.seed);
@@ -261,19 +261,18 @@ TEST(PortfolioSolver, DiversifyTableShape)
         samplers.insert(w.hybrid.sampler);
     EXPECT_GE(samplers.size(), 3u);
 
-    // Slot 9 is the dedicated parallel-lockstep-reads worker: batch
-    // kernel on, at least 16 chains per device sample.
-    EXPECT_EQ(slate[9].label, "reads-batch");
-    EXPECT_TRUE(slate[9].hybrid.reads_batch);
-    EXPECT_GE(slate[9].hybrid.num_reads, 16);
+    // Slot 4 is the best-of-N worker: at least 16 lockstep reads
+    // per device sample.
+    EXPECT_EQ(slate[4].label, "reads");
+    EXPECT_GE(slate[4].hybrid.num_reads, 16);
 
     // Past the table the labels cycle with a #N suffix and fresh
     // seeds.
-    const auto wide = PortfolioSolver::diversify(base, 12);
-    ASSERT_EQ(wide.size(), 12u);
-    EXPECT_EQ(wide[10].label, "base#1");
-    EXPECT_EQ(wide[11].label, "cdcl#1");
-    EXPECT_NE(wide[10].hybrid.seed, wide[0].hybrid.seed);
+    const auto wide = PortfolioSolver::diversify(base, 11);
+    ASSERT_EQ(wide.size(), 11u);
+    EXPECT_EQ(wide[9].label, "base#1");
+    EXPECT_EQ(wide[10].label, "cdcl#1");
+    EXPECT_NE(wide[9].hybrid.seed, wide[0].hybrid.seed);
 }
 
 TEST(PortfolioSolver, ExplicitWorkerSlateRespected)

@@ -66,8 +66,7 @@ TEST(KnobTable, WireKeysAreTheJobScopeKnobs)
     for (const Knob *k : knobs(Scope::Session))
         open.push_back(k->key());
     EXPECT_EQ(submit, (std::vector<std::string>{
-                          "simplify", "topology", "reads_batch",
-                          "reads_groups"}));
+                          "simplify", "topology", "reads_groups"}));
     EXPECT_EQ(open, (std::vector<std::string>{"simplify"}));
 
     // The report echo covers exactly the SUBMIT keys, in order.
@@ -123,10 +122,6 @@ TEST(KnobTable, CliFlagAndSubmitTokenSetTheSameMember)
          [](const HybridConfig &c) {
              return c.topology == topology::Kind::Chimera;
          }},
-        {{"--reads-batch"}, "reads_batch=1",
-         [](const HybridConfig &c) { return c.reads_batch; }},
-        {{"--reads-batch=0"}, "reads_batch=0",
-         [](const HybridConfig &c) { return !c.reads_batch; }},
         {{"--reads-groups", "7"}, "reads_groups=7",
          [](const HybridConfig &c) { return c.reads_groups == 7; }},
         {{"--reads-groups=0"}, "reads_groups=0",
@@ -140,14 +135,11 @@ TEST(KnobTable, CliFlagAndSubmitTokenSetTheSameMember)
         HybridConfig base;
         base.simplify_strength = simplify::Strength::Full;
         base.topology = topology::Kind::Pegasus;
-        base.reads_batch = true;
         base.reads_groups = 5;
         if (tc.submit == "simplify=full")
             base.simplify_strength = simplify::Strength::Off;
         if (tc.submit == "topology=pegasus")
             base.topology = topology::Kind::Chimera;
-        if (tc.submit == "reads_batch=1")
-            base.reads_batch = false;
 
         HybridConfig from_cli = base, from_wire = base;
         ASSERT_TRUE(parseCli(tc.cli, from_cli, Scope::Cli)) << tc.submit;
@@ -168,7 +160,6 @@ TEST(KnobTable, MalformedValuesRejectedOnBothSides)
         {"reads-groups", "5000"}, {"reads-groups", "-1"},
         {"reads-groups", "two"},  {"reads-groups", ""},
         {"topology", "kite"},     {"topology", ""},
-        {"reads-batch", "yes"},   {"reads-batch", "2"},
         {"simplify", "max"},      {"simplify", ""},
     };
     for (const auto &[name, value] : bad) {
@@ -192,6 +183,10 @@ TEST(KnobTable, MalformedValuesRejectedOnBothSides)
              {"--noisy=2"},
              {"--reads-groups", "5000"},
              {"--topology", "kite"},
+             {"--sampler", "bogus"},
+             {"--sampler", "batch"},
+             {"--sampler", "async:async"},
+             {"--reads-batch"},
              {"--depth"},
              {"--no-such-flag"},
              {"-x"},
@@ -263,13 +258,13 @@ TEST(CommandLine, BareFlagsAndOperands)
     // takes it unless it looks like a flag.
     HybridConfig cfg;
     std::vector<std::string> operands;
-    ASSERT_TRUE(parseCli({"a.cnf", "--reads-batch", "b.cnf", "--simplify",
+    ASSERT_TRUE(parseCli({"a.cnf", "--noisy", "b.cnf", "--simplify",
                           "--no-frontend-cache", "--incremental-tracking",
                           "c.cnf"},
                          cfg, Scope::Solo, &operands));
     EXPECT_EQ(operands,
               (std::vector<std::string>{"a.cnf", "b.cnf", "c.cnf"}));
-    EXPECT_TRUE(cfg.reads_batch);
+    EXPECT_GT(cfg.annealer.noise.coefficient_sigma, 0.0);
     EXPECT_EQ(cfg.simplify_strength, simplify::Strength::Light);
     EXPECT_FALSE(cfg.frontend.cache_embeddings);
     EXPECT_TRUE(cfg.solver.incremental_clause_tracking);
@@ -294,7 +289,9 @@ TEST(CommandLine, UsageListsEveryFlag)
     EXPECT_NE(usage.find("[--simplify[=off|light|full]]"),
               std::string::npos);
     EXPECT_NE(usage.find("[--reads-groups N]"), std::string::npos);
-    EXPECT_NE(usage.find("[--reads-batch]"), std::string::npos);
+    EXPECT_NE(usage.find("[--noisy]"), std::string::npos);
+    EXPECT_NE(usage.find("[--sampler sync|qa|logical|sa|async|async:NAME]"),
+              std::string::npos);
 }
 
 TEST(DevicePresets, CliAndBenchesShareThem)

@@ -73,37 +73,34 @@ TEST(ServiceProtocol, SubmitSimplifyOption)
 
 TEST(ServiceProtocol, SubmitTopologyAndReadsBatchOptions)
 {
-    // topology= / reads_batch= compose with simplify= in any order.
+    // topology= composes with simplify= in any order.
     const Request req = parseRequest(
-        "SUBMIT acme 3 job-1 reads_batch=1 topology=pegasus "
-        "simplify=light");
+        "SUBMIT acme 3 job-1 topology=pegasus simplify=light");
     EXPECT_EQ(req.verb, Verb::Submit);
     EXPECT_EQ(knob(req, "simplify"), "light");
     EXPECT_EQ(knob(req, "topology"), "pegasus");
-    EXPECT_EQ(knob(req, "reads_batch"), "1");
 
     const Request chimera =
         parseRequest("SUBMIT acme 0 j topology=chimera");
     EXPECT_EQ(chimera.verb, Verb::Submit);
     EXPECT_EQ(knob(chimera, "topology"), "chimera");
-    EXPECT_EQ(knob(chimera, "reads_batch"), "")
-        << "unset keeps the default";
-    EXPECT_EQ(knob(parseRequest("SUBMIT acme 0 j reads_batch=0"),
-                   "reads_batch"),
-              "0");
 
     // Defaults when absent; bad values stay Invalid.
     const Request plain = parseRequest("SUBMIT acme 3 job-1");
     EXPECT_TRUE(knob(plain, "topology").empty());
-    EXPECT_EQ(knob(plain, "reads_batch"), "");
     EXPECT_EQ(knob(parseRequest("SUBMIT acme 3 j topology=zephyr"),
                    "topology"),
               "zephyr");
     EXPECT_EQ(parseRequest("SUBMIT acme 3 j topology=kite").verb,
               Verb::Invalid);
-    EXPECT_EQ(parseRequest("SUBMIT acme 3 j reads_batch=yes").verb,
-              Verb::Invalid);
     EXPECT_EQ(parseRequest("SUBMIT acme 3 j topology=").verb,
+              Verb::Invalid);
+
+    // reads_batch= is not a SUBMIT key: multi-read samples always
+    // run lockstep.
+    EXPECT_EQ(parseRequest("SUBMIT acme 3 j reads_batch=1").verb,
+              Verb::Invalid);
+    EXPECT_EQ(parseRequest("SUBMIT acme 3 j reads_batch=0").verb,
               Verb::Invalid);
 }
 
@@ -112,10 +109,9 @@ TEST(ServiceProtocol, SubmitReadsGroupsOption)
     // reads_groups= composes with every other override; 0 means
     // auto-sized lockstep groups, absent keeps the daemon default.
     const Request req = parseRequest(
-        "SUBMIT acme 2 job-9 reads_batch=1 reads_groups=4 "
-        "topology=zephyr simplify=off");
+        "SUBMIT acme 2 job-9 reads_groups=4 topology=zephyr "
+        "simplify=off");
     EXPECT_EQ(req.verb, Verb::Submit);
-    EXPECT_EQ(knob(req, "reads_batch"), "1");
     EXPECT_EQ(knob(req, "reads_groups"), "4");
     EXPECT_EQ(knob(req, "topology"), "zephyr");
 

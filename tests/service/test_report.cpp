@@ -2,7 +2,7 @@
  * @file
  * Report-format goldens: a fixed InstanceRecord must produce exactly
  * these JSON and CSV lines, so the knob-table-driven echo columns
- * (simplify, topology, reads_batch, reads_groups) and their defaults
+ * (simplify, topology, reads_groups) and their defaults
  * for a record that never got a config stay byte-stable for
  * downstream parsers.
  */
@@ -23,7 +23,6 @@ goldenReport()
     core::HybridConfig cfg;
     core::applyKnobs({{"simplify", "full"},
                       {"topology", "zephyr"},
-                      {"reads_batch", "1"},
                       {"reads_groups", "3"}},
                      cfg);
 
@@ -31,7 +30,7 @@ goldenReport()
     solved.name = "gc1-0";
     solved.path = "suite/gc1-0.cnf";
     solved.status = "SAT";
-    solved.winner = "reads-batch";
+    solved.winner = "reads";
     solved.knobs = core::echoKnobs(cfg);
     solved.wall_s = 0.25;
     solved.vars = 150;
@@ -73,9 +72,9 @@ TEST(ServiceReport, JsonGolden)
         "\"wall_s\": 0.5},\n"
         "  \"instances\": [\n"
         "    {\"name\": \"gc1-0\", \"path\": \"suite/gc1-0.cnf\", "
-        "\"status\": \"SAT\", \"winner\": \"reads-batch\", "
+        "\"status\": \"SAT\", \"winner\": \"reads\", "
         "\"simplify\": \"full\", \"topology\": \"zephyr\", "
-        "\"reads_batch\": 1, \"reads_groups\": 3, \"wall_s\": 0.25, "
+        "\"reads_groups\": 3, \"wall_s\": 0.25, "
         "\"vars\": 150, \"clauses\": 645, \"iterations\": 12, "
         "\"conflicts\": 34, \"restarts\": 2, \"propagations\": 5678, "
         "\"qa_samples\": 7, \"time\": {\"frontend_s\": 0.125, "
@@ -84,7 +83,7 @@ TEST(ServiceReport, JsonGolden)
         "{\"solver.conflicts\": 34, \"portfolio.wall_s\": 0.25}},\n"
         "    {\"name\": \"queued\", \"path\": \"\", \"status\": "
         "\"CANCELLED\", \"winner\": \"\", \"simplify\": \"\", "
-        "\"topology\": \"\", \"reads_batch\": 0, \"reads_groups\": 0, "
+        "\"topology\": \"\", \"reads_groups\": 0, "
         "\"wall_s\": 0, \"vars\": 0, \"clauses\": 0, \"iterations\": 0, "
         "\"conflicts\": 0, \"restarts\": 0, \"propagations\": 0, "
         "\"qa_samples\": 0, \"time\": {\"frontend_s\": 0, "
@@ -99,14 +98,14 @@ TEST(ServiceReport, CsvGolden)
     std::ostringstream out;
     writeCsvReport(goldenReport(), out);
     EXPECT_EQ(out.str(),
-              "name,path,status,winner,simplify,topology,reads_batch,"
+              "name,path,status,winner,simplify,topology,"
               "reads_groups,wall_s,vars,clauses,iterations,conflicts,"
               "restarts,propagations,qa_samples,frontend_s,qa_device_s,"
               "qa_blocking_s,backend_s,cdcl_s\n"
-              "gc1-0,suite/gc1-0.cnf,SAT,reads-batch,full,zephyr,1,3,"
+              "gc1-0,suite/gc1-0.cnf,SAT,reads,full,zephyr,3,"
               "0.25,150,645,12,34,2,5678,7,0.125,0.0005,0.00025,0.0625,"
               "1.5\n"
-              "queued,,CANCELLED,,,,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n");
+              "queued,,CANCELLED,,,,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n");
 }
 
 } // namespace
