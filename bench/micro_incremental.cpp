@@ -110,6 +110,7 @@ main(int argc, char **argv)
     MetricsRegistry cold_metrics, warm_metrics;
 
     ModeTiming cold;
+    unsigned long long cold_recompiles = 0;
     {
         core::HybridConfig cfg = config;
         cfg.metrics = &cold_metrics;
@@ -122,11 +123,13 @@ main(int argc, char **argv)
             }
             cold.verdicts.push_back(
                 session.solve(assumptions).status);
+            cold_recompiles += session.recompiles();
         }
         cold.wall_s = t.seconds();
     }
 
     ModeTiming warm;
+    unsigned long long warm_recompiles = 0;
     {
         core::HybridConfig cfg = config;
         cfg.metrics = &warm_metrics;
@@ -139,6 +142,7 @@ main(int argc, char **argv)
         for (const sat::LitVec &assumptions : series)
             warm.verdicts.push_back(session.solve(assumptions).status);
         warm.wall_s = t.seconds();
+        warm_recompiles = session.recompiles();
     }
 
     int decided = 0;
@@ -171,8 +175,6 @@ main(int argc, char **argv)
                                      "frontend.cache.hits");
     const auto warm_misses = counterOf(warm_metrics,
                                        "frontend.cache.misses");
-    const auto warm_recompiles =
-        counterOf(warm_metrics, "session.recompiles");
     const double speedup = bench::ratio(cold.wall_s, warm.wall_s);
 
     std::printf("cold  %9.2f ms total, %8.2f us/call  "
@@ -192,7 +194,7 @@ main(int argc, char **argv)
         double speedup;
         unsigned long long hits, misses, recompiles;
     } rows[] = {{"cold", &cold, 1.0, cold_hits, cold_misses,
-                 counterOf(cold_metrics, "session.recompiles")},
+                 cold_recompiles},
                 {"warm", &warm, speedup, warm_hits, warm_misses,
                  warm_recompiles}};
     for (const auto &row : rows) {

@@ -6,6 +6,10 @@
  * the hardest unsatisfied clauses to the annealer and the backend
  * interprets the sampled energy to prune the CDCL search; the
  * remaining iterations run as plain CDCL.
+ *
+ * This header holds the configuration and result types. The loop
+ * itself exists once, in core::Session (core/session.h);
+ * HybridSolver::solve is a session opened for one solve and dropped.
  */
 
 #ifndef HYQSAT_CORE_HYBRID_SOLVER_H
@@ -146,12 +150,13 @@ struct HybridConfig
     std::function<void(sat::Solver &)> root_hook;
 
     /**
-     * Observability: every solve() records its counters, phase
-     * timers and histograms into a per-solve registry (the single
-     * source of truth HybridResult's time/stat fields are views
-     * over) and, when this is non-null, merges that registry here at
-     * the end — so repeated solves accumulate and a CLI can dump one
-     * JSON file. Trace events stream to this registry's sink live.
+     * Observability: a session records its counters, phase timers
+     * and histograms into its own registry (the single source of
+     * truth HybridResult's time/stat fields are views over) and,
+     * when this is non-null, merges that registry here when it
+     * closes — at the end of every HybridSolver::solve — so repeated
+     * solves accumulate and a CLI can dump one JSON file. Trace
+     * events stream to this registry's sink live.
      */
     MetricsRegistry *metrics = nullptr;
 };
@@ -224,7 +229,11 @@ struct HybridResult
 
 class Session;
 
-/** The hybrid solver. */
+/**
+ * The one-shot face of the hybrid loop. The loop itself lives in
+ * core::Session; solve() opens a session over this solver's
+ * topology and the given formula, solves once and drops it.
+ */
 class HybridSolver
 {
   public:
@@ -232,10 +241,10 @@ class HybridSolver
 
     /**
      * Solve a formula end to end. Safe to call repeatedly (and on
-     * different formulas): every run builds fresh solver, sampler,
-     * pipeline and RNG state from the immutable config, so a second
-     * solve() reproduces the first bit for bit — no pipeline/epoch
-     * state leaks across calls (regression-tested).
+     * different formulas): every call runs in a fresh Session, so
+     * solver, sampler, pipeline and RNG state all start from the
+     * immutable config and a second solve() reproduces the first
+     * bit for bit (regression-tested).
      */
     HybridResult solve(const sat::Cnf &formula);
 
@@ -258,24 +267,21 @@ class HybridSolver
     const HybridConfig &config() const { return config_; }
 
     /** The hardware topology (built once per solver). */
-    const chimera::ChimeraGraph &graph() const { return graph_; }
+    const chimera::ChimeraGraph &graph() const { return *graph_; }
 
   private:
-    /** Backend spec derived from the configuration. */
-    anneal::SamplerSpec samplerSpec() const;
-
     HybridConfig config_;
 
     // The topology is immutable configuration: building it per solve
-    // made bench loops pay the construction on every call.
-    chimera::ChimeraGraph graph_;
+    // made bench loops pay the construction on every call. Every
+    // solve's session shares it.
+    std::shared_ptr<const topology::Topology> graph_;
 };
 
 /**
  * Sampler backend spec derived from a hybrid configuration (the
  * depth>=2 async wrapping, num_reads composition and stop-token
- * plumbing). Shared by HybridSolver and Session so both layers
- * construct bit-identical samplers from the same config.
+ * plumbing): what a Session builds its sampler from.
  */
 anneal::SamplerSpec hybridSamplerSpec(const HybridConfig &config);
 

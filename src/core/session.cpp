@@ -67,21 +67,31 @@ HybridSolver::openSession() const
 
 Session::Session(const HybridConfig &config)
     : config_(config),
-      graph_(config.topology, config.chimera_rows,
-             config.chimera_cols, config.chimera_shore)
+      graph_(std::make_shared<const topology::Topology>(
+          config.topology, config.chimera_rows, config.chimera_cols,
+          config.chimera_shore))
 {
     if (config_.metrics)
         metrics_.setTrace(config_.metrics->trace());
-    metrics_.counter("session.solves");
-    metrics_.counter("session.recompiles");
-    metrics_.counter("session.delta_clauses");
+}
+
+Session::Session(const HybridConfig &config,
+                 std::shared_ptr<const topology::Topology> graph,
+                 const sat::Cnf &formula)
+    : config_(config), graph_(std::move(graph)), formula_(&formula)
+{
+    if (!formula.isThreeSat()) {
+        fatal("HybridSolver requires 3-SAT input (longest clause has "
+              "%d literals); convert with sat::toThreeSat first",
+              formula.maxClauseSize());
+    }
+    if (config_.metrics)
+        metrics_.setTrace(config_.metrics->trace());
 }
 
 Session::~Session()
 {
-    // Lifetime totals fold into the configured registry exactly once,
-    // mirroring what a sequence of HybridSolver::solve calls would
-    // have accumulated there.
+    // Lifetime totals fold into the configured registry exactly once.
     if (config_.metrics)
         config_.metrics->merge(metrics_);
 }
@@ -106,8 +116,7 @@ Session::addClause(sat::LitVec lits)
               "convert with sat::toThreeSat first",
               static_cast<int>(lits.size()));
     }
-    accumulated_.addClause(lits);
-    metrics_.counter("session.delta_clauses")->add(1);
+    ownFormula().addClause(lits);
     if (!compiled_ || need_recompile_ || formula_unsat_)
         return !formula_unsat_;
 
@@ -131,8 +140,9 @@ Session::addClause(sat::LitVec lits)
             break;
         }
     }
-    work_.addClause(mapped);
-    if (!solver_->addClause(std::move(mapped), work_.numClauses() - 1))
+    if (simplifying())
+        simp_.cnf.addClause(mapped);
+    if (!solver_->addClause(std::move(mapped), work().numClauses() - 1))
         formula_unsat_ = true;
     return !formula_unsat_;
 }
@@ -140,47 +150,58 @@ Session::addClause(sat::LitVec lits)
 bool
 Session::addFormula(const sat::Cnf &cnf)
 {
-    accumulated_.ensureVars(cnf.numVars());
+    ownFormula().ensureVars(cnf.numVars());
     bool ok = !formula_unsat_;
     for (const sat::LitVec &c : cnf.clauses())
         ok = addClause(c);
     return ok;
 }
 
+sat::Cnf &
+Session::ownFormula()
+{
+    if (formula_ != &accumulated_) {
+        accumulated_ = *formula_;
+        formula_ = &accumulated_;
+    }
+    return accumulated_;
+}
+
 void
 Session::recompile()
 {
     ++recompiles_;
-    metrics_.counter("session.recompiles")->add(1);
     compiled_ = true;
     need_recompile_ = false;
     formula_unsat_ = false;
     final_conflict_.clear();
 
-    simplify::Options so =
-        simplify::Options::preset(config_.simplify_strength);
-    so.frozen.assign(frozen_.begin(), frozen_.end());
-    simp_ = simplify::Pipeline(so, &metrics_).run(accumulated_);
-    if (!simp_.satisfiable_possible) {
-        formula_unsat_ = true;
-        return;
+    if (simplifying()) {
+        simplify::Options so =
+            simplify::Options::preset(config_.simplify_strength);
+        so.frozen.assign(frozen_.begin(), frozen_.end());
+        simp_ = simplify::Pipeline(so, &metrics_).run(*formula_);
+        if (!simp_.satisfiable_possible) {
+            formula_unsat_ = true;
+            return;
+        }
     }
-    work_ = simp_.cnf;
 
     // Rebuild the warm state against the new formula. The pipeline
     // references frontend/sampler/rng, so it goes first.
     pipeline_.reset();
-    frontend_ = std::make_unique<Frontend>(graph_, config_.frontend,
+    frontend_ = std::make_unique<Frontend>(*graph_, config_.frontend,
                                            &metrics_);
     backend_ = std::make_unique<Backend>(config_.backend, &metrics_);
     anneal::SamplerSpec spec = hybridSamplerSpec(config_);
     spec.metrics = &metrics_;
-    sampler_ = anneal::makeSampler(spec, graph_);
+    sampler_ = anneal::makeSampler(spec, *graph_);
     rng_ = Rng(config_.seed);
     pipeline_ = std::make_unique<SamplePipeline>(
         *frontend_, *sampler_, rng_, config_.use_embedding, &metrics_);
 
     solver_ = std::make_unique<sat::Solver>(config_.solver);
+    stats_mark_ = {};
     solver_->attachMetrics(&metrics_);
     if (config_.stop)
         solver_->setStopToken(config_.stop);
@@ -188,7 +209,7 @@ Session::recompile()
         solver_->setLearntExportHook(config_.learnt_export);
     if (config_.root_hook)
         solver_->setRootHook(config_.root_hook);
-    if (!solver_->loadCnf(work_)) {
+    if (!solver_->loadCnf(work())) {
         formula_unsat_ = true;
         return;
     }
@@ -251,7 +272,6 @@ Session::solve(const sat::LitVec &assumptions)
 {
     Timer total_timer;
     ++solves_;
-    metrics_.counter("session.solves")->add(1);
     HybridResult result;
     result.status = sat::l_Undef;
     final_conflict_.clear();
@@ -259,7 +279,7 @@ Session::solve(const sat::LitVec &assumptions)
     // Every assumption variable is permanently frozen: later
     // recompiles must keep it mappable too.
     for (const sat::Lit a : assumptions) {
-        accumulated_.ensureVars(a.var() + 1);
+        ownFormula().ensureVars(a.var() + 1);
         freeze(a.var());
     }
     if (!compiled_ || need_recompile_)
@@ -289,7 +309,6 @@ Session::solve(const sat::LitVec &assumptions)
     // call as the trail evolves.
     rng_ = Rng(config_.seed);
 
-    const sat::SolverStats before = solver_->stats();
     const PipelineStats ps_before = pipeline_->stats();
     Counter *const warmup_counter =
         metrics_.counter("hybrid.warmup_iterations");
@@ -312,17 +331,20 @@ Session::solve(const sat::LitVec &assumptions)
     if (warmup < 0) {
         warmup = static_cast<std::int64_t>(std::llround(std::sqrt(
             static_cast<double>(HybridSolver::estimateIterations(
-                work_.numVars(), work_.numClauses())))));
+                work().numVars(), work().numClauses())))));
     }
     warmup = std::min(warmup, config_.max_warmup);
     const std::int64_t warm_end =
-        static_cast<std::int64_t>(before.iterations) + warmup;
+        static_cast<std::int64_t>(solver_->stats().iterations) + warmup;
 
     bool qa_solved = false;
     std::vector<bool> qa_model;
     solver_->setIterationHook([&](sat::Solver &s) {
         if (static_cast<std::int64_t>(s.stats().iterations) >=
             warm_end) {
+            // Warm-up over. The QA polarity hints stay in force for
+            // the remaining search ("maintain the variable
+            // assignments", SV-B): clearing them measurably hurt.
             return;
         }
         if (config_.stop && config_.stop->stopRequested())
@@ -333,7 +355,7 @@ Session::solve(const sat::LitVec &assumptions)
         pipeline_->step(s, s.stats().conflicts, ready_);
         for (ReadySample &rs : ready_) {
             const BackendOutcome outcome =
-                backend_->apply(s, *rs.frontend, rs.sample, work_);
+                backend_->apply(s, *rs.frontend, rs.sample, work());
             if (!outcome.solved)
                 continue;
             // Strategy 1 proves the *formula* satisfiable; under
@@ -355,7 +377,8 @@ Session::solve(const sat::LitVec &assumptions)
     const sat::lbool status = solver_->solveWithAssumptions(mapped);
     solver_->setIterationHook({}); // hook captures this frame
 
-    result.stats = statsDelta(solver_->stats(), before);
+    result.stats = statsDelta(solver_->stats(), stats_mark_);
+    stats_mark_ = solver_->stats();
     const PipelineStats ps =
         pipelineDelta(pipeline_->stats(), ps_before);
     result.qa_submitted = ps.submitted;
@@ -391,12 +414,12 @@ Session::solve(const sat::LitVec &assumptions)
     }
     if (result.status.isTrue()) {
         if (static_cast<int>(result.model.size()) <
-            accumulated_.numVars()) {
+            formula_->numVars()) {
             result.model.resize(
-                static_cast<std::size_t>(accumulated_.numVars()),
+                static_cast<std::size_t>(formula_->numVars()),
                 false);
         }
-        if (!accumulated_.eval(result.model))
+        if (!formula_->eval(result.model))
             panic("session model failed verification");
         for (const sat::Lit a : assumptions) {
             if (!litHolds(result.model, a))
@@ -422,6 +445,9 @@ Session::solve(const sat::LitVec &assumptions)
             formula_unsat_ = true;
     }
 
+    // Host CDCL time is what remains of the measured wall clock. The
+    // device simulation only counts when it ran on this thread: async
+    // workers overlap it with the search.
     const double total = total_timer.seconds();
     const double sim_cost =
         pipeline_->asynchronous() ? 0.0 : result.time.qa_host_s;

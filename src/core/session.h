@@ -1,12 +1,13 @@
 /**
  * @file
- * Incremental hybrid solving: an IPASIR-style session over the
- * HyQSAT loop. A Session accepts clauses and repeated
- * solve(assumptions) calls; between calls it retains everything a
- * fresh HybridSolver::solve would rebuild — the CDCL solver (learnt
- * clauses, VSIDS activity, saved polarities), the sampling pipeline
- * (frontend workspace with its embedding cache and compiled-slot
- * memos), and the simplify result the formula was compiled through.
+ * The HyQSAT loop (§III), as an IPASIR-style session. This is the
+ * one place the loop lives: HybridSolver::solve is a session opened
+ * for a single solve() and dropped. A Session accepts clauses and
+ * repeated solve(assumptions) calls; between calls it retains the
+ * CDCL solver (learnt clauses, VSIDS activity, saved polarities),
+ * the sampling pipeline (frontend workspace with its embedding cache
+ * and compiled-slot memos), and the simplify result the formula was
+ * compiled through.
  *
  * The simplify layer runs once per *compile*, not per solve:
  * assumptions and delta clauses are translated into the simplified
@@ -74,7 +75,8 @@ class Session
      * On l_False, failedAssumptions() holds the clause over negated
      * assumptions the refutation used (empty when the formula is
      * unsatisfiable on its own). Result counters and times are
-     * per-call deltas, comparable with HybridSolver::solve. The QA
+     * per-call deltas; the call that compiles the formula also
+     * counts the solver's load-time work. The QA
      * queue-sampling stream restarts from the config seed each call,
      * so a repeated call pattern regenerates identical clause queues
      * and reuses the retained embedding memo.
@@ -88,7 +90,7 @@ class Session
     }
 
     /** The formula accumulated so far (original space). */
-    const sat::Cnf &formula() const { return accumulated_; }
+    const sat::Cnf &formula() const { return *formula_; }
 
     /** Times the session recompiled (simplify + solver rebuild). */
     int recompiles() const { return recompiles_; }
@@ -97,17 +99,49 @@ class Session
     int solves() const { return solves_; }
 
     /**
-     * Session-lifetime registry: frontend.cache.*, pipeline.*,
-     * solver.* and session.* counters accumulate here across solves
-     * (merged into HybridConfig::metrics when the session closes).
+     * Session-lifetime registry: the loop's frontend.*, pipeline.*,
+     * backend.*, anneal.*, solver.* and hybrid.* metrics accumulate
+     * here across solves (merged into HybridConfig::metrics when the
+     * session closes). Lifecycle counts are the accessors above, not
+     * registry keys: the service owns the session.* names.
      */
     const MetricsRegistry &metrics() const { return metrics_; }
 
     const HybridConfig &config() const { return config_; }
 
   private:
+    friend class HybridSolver;
+
+    /**
+     * The one-shot session behind HybridSolver::solve: shares the
+     * solver's topology and runs on @p formula in place instead of
+     * copying it, so @p formula must outlive the session. A change
+     * to the formula copies it in first (ownFormula).
+     */
+    Session(const HybridConfig &config,
+            std::shared_ptr<const topology::Topology> graph,
+            const sat::Cnf &formula);
+
+    /** The accumulated formula, copied in first if it is borrowed. */
+    sat::Cnf &ownFormula();
+
     /** Simplify the accumulated formula and rebuild the warm state. */
     void recompile();
+
+    bool simplifying() const
+    {
+        return config_.simplify_strength != simplify::Strength::Off;
+    }
+
+    /**
+     * The formula the loop runs on: without simplification the
+     * formula itself (a one-shot session's is its caller's), so the
+     * loop holds no copy of it.
+     */
+    const sat::Cnf &work() const
+    {
+        return simplifying() ? simp_.cnf : *formula_;
+    }
 
     /**
      * Map this call's assumptions into the compile's variable space,
@@ -124,18 +158,20 @@ class Session
         std::vector<std::pair<sat::Lit, sat::Lit>> &amap);
 
     HybridConfig config_;
-    chimera::ChimeraGraph graph_;
+    std::shared_ptr<const topology::Topology> graph_;
     MetricsRegistry metrics_;
 
     /** Everything ever added, original variable space. */
     sat::Cnf accumulated_;
 
+    /** The formula so far: &accumulated_ or a borrowed one. */
+    const sat::Cnf *formula_ = &accumulated_;
+
     /** Explicit freezes plus every assumption variable ever seen. */
     std::set<sat::Var> frozen_;
 
-    /** Current compile: simplify result + its formula + deltas. */
+    /** Current compile (identity when not simplifying) + deltas. */
     simplify::Result simp_;
-    sat::Cnf work_; ///< simp_.cnf plus mapped delta clauses
     bool compiled_ = false;
     bool need_recompile_ = false;
     bool formula_unsat_ = false; ///< UNSAT regardless of assumptions
@@ -151,6 +187,9 @@ class Session
     std::unique_ptr<SamplePipeline> pipeline_;
     std::unique_ptr<sat::Solver> solver_;
     std::vector<ReadySample> ready_;
+
+    /** solver_'s counters as of the last solve (zero when rebuilt). */
+    sat::SolverStats stats_mark_;
 
     sat::LitVec final_conflict_; ///< original-space failed core
     int recompiles_ = 0;

@@ -140,7 +140,9 @@ parseRequest(std::string_view line)
         }
         for (std::size_t i = 2; i < tokens.size(); ++i) {
             int lit = 0;
-            if (!parseNumber(tokens[i], lit) || lit == 0) {
+            if (!parseNumber(tokens[i], -kMaxLiteral, kMaxLiteral,
+                             lit) ||
+                lit == 0) {
                 req.error =
                     "bad literal (nonzero DIMACS int expected): " +
                     std::string(tokens[i]);

@@ -43,6 +43,7 @@
 #ifndef HYQSAT_SERVICE_PROTOCOL_H
 #define HYQSAT_SERVICE_PROTOCOL_H
 
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -55,6 +56,9 @@ namespace hyqsat::service {
 
 /** Terminator line of a SUBMIT body and of a METRICS snapshot. */
 inline constexpr std::string_view kEndMarker = "END";
+
+/** Wire bound on ASSUME and ADD literals: negating one never overflows. */
+inline constexpr int kMaxLiteral = std::numeric_limits<int>::max();
 
 /** Request verbs the server understands. */
 enum class Verb {
@@ -90,7 +94,7 @@ struct Request
     // WAIT / STATUS / session-verb id field.
     JobId id = 0;
 
-    // ASSUME literals (DIMACS ints, never 0).
+    // ASSUME literals (DIMACS ints, never 0, |lit| <= kMaxLiteral).
     std::vector<int> lits;
 
     // SHUTDOWN field.

@@ -1,7 +1,5 @@
 #include "service/session_manager.h"
 
-#include <limits>
-
 #include "service/protocol.h"
 #include "util/parse.h"
 #include "util/timer.h"
@@ -21,7 +19,6 @@ std::string
 parseClauses(const std::string &text,
              std::vector<sat::LitVec> &clauses)
 {
-    constexpr int kMaxLit = std::numeric_limits<int>::max();
     sat::LitVec current;
     std::size_t pos = 0;
     while (pos < text.size()) {
@@ -35,7 +32,7 @@ parseClauses(const std::string &text,
             continue;
         for (const std::string_view tok : tokens) {
             int lit = 0;
-            if (!parseNumber(tok, -kMaxLit, kMaxLit, lit))
+            if (!parseNumber(tok, -kMaxLiteral, kMaxLiteral, lit))
                 return "bad literal: " + std::string(tok);
             if (lit == 0) {
                 clauses.push_back(current);

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -223,6 +224,54 @@ TEST(MetricsIntegration, ClassicCdclRecordsSolverCounters)
               result.stats.decisions);
     EXPECT_DOUBLE_EQ(registry.timer("hybrid.cdcl")->seconds(),
                      result.time.cdcl_s);
+}
+
+TEST(MetricsIntegration, OneShotSolveWritesNoSessionKeys)
+{
+    // Every key a full-simplify one-shot solve wrote while
+    // HybridSolver::solve still ran its own copy of the loop
+    // (snapshot names: timers carry an `_s` suffix).
+    const char *const kOneShotKeys[] = {
+        "anneal.flips.accepted", "anneal.flips.attempted",
+        "anneal.read_groups", "anneal.reads", "anneal.sample_s",
+        "anneal.sweeps", "backend.apply_s",
+        "backend.class.near-satisfiable",
+        "backend.class.near-unsatisfiable", "backend.class.satisfiable",
+        "backend.class.uncertain", "backend.samples",
+        "backend.solved_by_qa", "backend.strategy1", "backend.strategy2",
+        "backend.strategy3", "backend.strategy4",
+        "frontend.cache.evictions", "frontend.cache.hits",
+        "frontend.cache.misses", "frontend.cache_s", "frontend.runs",
+        "frontend.unsat.incremental", "frontend.unsat.scans",
+        "hybrid.cdcl_s", "hybrid.total_s", "hybrid.warmup_iterations",
+        "pipeline.blocking_s", "pipeline.chain_breaks", "pipeline.device_s",
+        "pipeline.frontend_s", "pipeline.harvested",
+        "pipeline.host_sample_s", "pipeline.inflight_s",
+        "pipeline.occupancy_total", "pipeline.stale_discarded",
+        "pipeline.stall_span_s", "pipeline.stalls", "pipeline.submitted",
+        "simplify.clauses_removed", "simplify.eliminated",
+        "simplify.rounds", "simplify.runs", "simplify.strengthened",
+        "simplify.subsumed", "simplify.time_s", "simplify.vivified",
+        "solver.conflicts", "solver.decisions", "solver.exported_clauses",
+        "solver.imported_clauses", "solver.iterations",
+        "solver.learned_clauses", "solver.minimized_literals",
+        "solver.propagations", "solver.propagations_per_s",
+        "solver.reduce_dbs", "solver.removed_clauses", "solver.restarts",
+        "solver.search_s",
+    };
+    MetricsRegistry registry;
+    HybridConfig cfg = noiseFreeConfig();
+    cfg.simplify_strength = simplify::Strength::Full;
+    cfg.metrics = &registry;
+    HybridSolver(cfg).solve(testFormula());
+
+    std::set<std::string> keys;
+    for (const auto &kv : registry.snapshot()) {
+        EXPECT_NE(kv.first.rfind("session.", 0), 0u) << kv.first;
+        keys.insert(kv.first);
+    }
+    for (const char *key : kOneShotKeys)
+        EXPECT_EQ(keys.count(key), 1u) << key;
 }
 
 TEST(MetricsIntegration, TraceStreamsSolveEvents)

@@ -190,20 +190,53 @@ TEST(Session, OpenSessionSharesHybridConfig)
     EXPECT_TRUE(session->solve().status.isTrue());
 }
 
+TEST(Session, PerCallStatsSumToSessionTotals)
+{
+    // The call that compiles the formula also reports the solver's
+    // load-time unit propagation, so per-call deltas add up to what
+    // the solver published into the session registry.
+    Session session(testConfig());
+    Rng rng(5);
+    Cnf cnf = sat::testing::randomCnf(20, 60, 3, rng);
+    cnf.addClause(LitVec{mkLit(3)});
+    ASSERT_TRUE(session.addFormula(cnf));
+    const auto published = [&session] {
+        for (const auto &kv : session.metrics().snapshot())
+            if (kv.first == "solver.propagations")
+                return static_cast<std::uint64_t>(kv.second);
+        return std::uint64_t{0};
+    };
+    const HybridResult first = session.solve();
+    EXPECT_EQ(first.stats.propagations, published());
+    const HybridResult second = session.solve(LitVec{mkLit(4)});
+    EXPECT_EQ(first.stats.propagations + second.stats.propagations,
+              published());
+}
+
 TEST(Session, MetricsMergeOnClose)
 {
     MetricsRegistry external;
     HybridConfig config = testConfig();
     config.metrics = &external;
+    std::uint64_t decisions = 0, warmup = 0;
     {
         Session session(config);
         ASSERT_TRUE(
             session.addClause(LitVec{mkLit(0), mkLit(1)}));
-        session.solve();
-        session.solve(LitVec{mkLit(0)});
+        for (const LitVec &assumptions : {LitVec{}, LitVec{mkLit(0)}}) {
+            const HybridResult r = session.solve(assumptions);
+            decisions += r.stats.decisions;
+            warmup += static_cast<std::uint64_t>(r.warmup_iterations);
+        }
+        EXPECT_EQ(session.solves(), 2);
+        EXPECT_EQ(session.recompiles(), 1);
+        // Nothing reaches the external registry before close.
+        EXPECT_EQ(external.counter("solver.decisions")->value(), 0u);
     }
-    EXPECT_EQ(external.counter("session.solves")->value(), 2u);
-    EXPECT_EQ(external.counter("session.recompiles")->value(), 1u);
+    EXPECT_EQ(external.counter("solver.decisions")->value(), decisions);
+    EXPECT_EQ(external.counter("hybrid.warmup_iterations")->value(),
+              warmup);
+    EXPECT_GT(warmup, 0u);
 }
 
 /**

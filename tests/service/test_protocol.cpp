@@ -144,6 +144,17 @@ TEST(ServiceProtocol, ParsesWaitAndStatus)
     EXPECT_EQ(parseRequest("WAIT nope").verb, Verb::Invalid);
 }
 
+TEST(ServiceProtocol, AssumeLiteralsShareTheAddBodyBound)
+{
+    // INT_MIN has no negation; literals live in [-INT_MAX, INT_MAX]
+    // like ADD bodies.
+    EXPECT_EQ(parseRequest("ASSUME 1 -2147483648").verb, Verb::Invalid);
+    EXPECT_FALSE(parseRequest("ASSUME 1 -2147483648").error.empty());
+    const Request req = parseRequest("ASSUME 1 -2147483647 2147483647");
+    EXPECT_EQ(req.verb, Verb::Assume);
+    EXPECT_EQ(req.lits, (std::vector<int>{-2147483647, 2147483647}));
+}
+
 TEST(ServiceProtocol, ParsesBareVerbs)
 {
     EXPECT_EQ(parseRequest("METRICS").verb, Verb::Metrics);
