@@ -48,7 +48,7 @@ instancesFor(const gen::Benchmark &benchmark)
 
 /**
  * Backend selection for the whole bench suite: HYQSAT_SAMPLER names
- * the sampling backend ("sync", "qa", "logical", "sa", "async",
+ * the sampling backend ("sync", "logical", "sa", "async",
  * "async:<backend>") and HYQSAT_PIPELINE_DEPTH sets the async
  * in-flight depth. Unset keeps the classic blocking loop.
  */

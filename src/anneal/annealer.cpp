@@ -37,7 +37,11 @@ struct AnnealCompiled
     /** Flat model + chain groups (noise-free base coefficients). */
     std::shared_ptr<const SaCompiled> sa;
 
-    /** Physical spin -> logical node (embedded flavor only). */
+    /**
+     * Spin -> problem node the de-embedding votes into: the chain
+     * owner for the embedded flavor, the identity for the logical
+     * one (one-qubit chains, so every vote is exact).
+     */
     std::vector<int> spin_node;
 
     /** Noise replay schedule, in legacy perturb() call order. */
@@ -233,6 +237,10 @@ QuantumAnnealer::compiledLogical(const qubo::EncodedProblem &problem,
     for (const auto &[key, w] : logical.couplingTerms())
         cp->ops.push_back({key.first(), key.second(), w, 1.0});
 
+    cp->spin_node.resize(logical.numSpins());
+    for (int i = 0; i < logical.numSpins(); ++i)
+        cp->spin_node[i] = i;
+
     SaCompiled built = SaCompiled::build(logical, /*include_zero=*/true);
     resolveCouplingSlots(built.csr, cp->ops);
     cp->sa = std::make_shared<const SaCompiled>(std::move(built));
@@ -272,30 +280,41 @@ QuantumAnnealer::applyNoise(const AnnealCompiled &cp, SaSampler &sampler)
 
 AnnealSample
 QuantumAnnealer::sample(const qubo::EncodedProblem &problem,
-                        const embed::Embedding &embedding)
+                        const embed::Embedding &embedding,
+                        const embed::CompiledSlot *slot)
 {
-    return sample(problem, embedding, nullptr);
+    const int num_nodes = problem.numNodes();
+    if (num_nodes == 0)
+        return run(problem, nullptr);
+    if (embedding.numNodes() != num_nodes)
+        panic("embedding/problem node count mismatch (%d vs %d)",
+              embedding.numNodes(), num_nodes);
+    return run(problem, compiledEmbedded(problem, embedding, slot));
 }
 
 AnnealSample
-QuantumAnnealer::sample(const qubo::EncodedProblem &problem,
-                        const embed::Embedding &embedding,
-                        const embed::CompiledSlot *slot)
+QuantumAnnealer::sampleLogical(const qubo::EncodedProblem &problem,
+                               const embed::CompiledSlot *slot)
+{
+    if (problem.numNodes() == 0)
+        return run(problem, nullptr);
+    return run(problem, compiledLogical(problem, slot));
+}
+
+AnnealSample
+QuantumAnnealer::run(const qubo::EncodedProblem &problem,
+                     std::shared_ptr<const AnnealCompiled> cp)
 {
     run_stats_ = {};
     AnnealSample out;
     out.device_time_us = opts_.timing.sampleTimeUs(1);
     const int num_nodes = problem.numNodes();
     out.node_bits.assign(num_nodes, false);
-    if (num_nodes == 0)
+    if (!cp)
         return out;
-    if (embedding.numNodes() != num_nodes)
-        panic("embedding/problem node count mismatch (%d vs %d)",
-              embedding.numNodes(), num_nodes);
 
-    const auto cp = compiledEmbedded(problem, embedding, slot);
     SaSampler sampler(cp->sa);
-    // One noise draw per sample() call (before any sampling draws),
+    // One noise draw per sample (before any sampling draws),
     // matching the legacy once-per-call model build.
     applyNoise(*cp, sampler);
 
@@ -304,7 +323,6 @@ QuantumAnnealer::sample(const qubo::EncodedProblem &problem,
     sa.beta_end = opts_.noise.beta_final;
     sa.greedy_finish = opts_.greedy_finish;
     sa.num_reads = opts_.num_reads;
-    sa.reads_groups = opts_.reads_groups;
 
     const std::vector<int> &spin_node = cp->spin_node;
     bool have_best = false;
@@ -345,99 +363,6 @@ QuantumAnnealer::sample(const qubo::EncodedProblem &problem,
         candidate.weighted_energy =
             problem.objective.energy(candidate.node_bits);
 
-        if (!have_best || candidate.clause_energy < out.clause_energy) {
-            out = candidate;
-            have_best = true;
-        }
-        if (out.clause_energy == 0.0)
-            break;
-    }
-    return out;
-}
-
-AnnealSample
-QuantumAnnealer::sampleMajorityVote(const qubo::EncodedProblem &problem,
-                                    const embed::Embedding &embedding,
-                                    int samples)
-{
-    AnnealSample out;
-    const int num_nodes = problem.numNodes();
-    out.node_bits.assign(num_nodes, false);
-    if (num_nodes == 0 || samples <= 0)
-        return out;
-
-    SaStats total;
-    std::vector<int> votes(num_nodes, 0);
-    for (int k = 0; k < samples; ++k) {
-        const AnnealSample shot = sample(problem, embedding);
-        addStats(total, run_stats_);
-        out.chain_breaks += shot.chain_breaks;
-        for (int n = 0; n < num_nodes; ++n)
-            votes[n] += shot.node_bits[n] ? 1 : -1;
-    }
-    for (int n = 0; n < num_nodes; ++n) {
-        if (votes[n] == 0)
-            out.node_bits[n] = rng_.chance(0.5);
-        else
-            out.node_bits[n] = votes[n] > 0;
-    }
-    out.clause_energy = problem.clauseSpaceEnergy(out.node_bits);
-    out.weighted_energy = problem.objective.energy(out.node_bits);
-    out.device_time_us = opts_.timing.sampleTimeUs(samples);
-    run_stats_ = total;
-    return out;
-}
-
-AnnealSample
-QuantumAnnealer::sampleLogical(const qubo::EncodedProblem &problem)
-{
-    return sampleLogical(problem, nullptr);
-}
-
-AnnealSample
-QuantumAnnealer::sampleLogical(const qubo::EncodedProblem &problem,
-                               const embed::CompiledSlot *slot)
-{
-    run_stats_ = {};
-    AnnealSample out;
-    out.device_time_us = opts_.timing.sampleTimeUs(1);
-    const int num_nodes = problem.numNodes();
-    out.node_bits.assign(num_nodes, false);
-    if (num_nodes == 0)
-        return out;
-
-    const auto cp = compiledLogical(problem, slot);
-    SaSampler sampler(cp->sa);
-    applyNoise(*cp, sampler);
-
-    SaOptions sa;
-    sa.sweeps = opts_.noise.sweeps;
-    sa.beta_end = opts_.noise.beta_final;
-    sa.greedy_finish = opts_.greedy_finish;
-    sa.num_reads = opts_.num_reads;
-    sa.reads_groups = opts_.reads_groups;
-
-    bool have_best = false;
-    for (int attempt = 0; attempt < std::max(opts_.attempts, 1);
-         ++attempt) {
-        SaResult result = sampler.sample(sa, rng_);
-        addStats(run_stats_, result.stats);
-        if (opts_.noise.readout_flip_prob > 0.0) {
-            for (auto &s : result.spins)
-                if (rng_.chance(opts_.noise.readout_flip_prob))
-                    s = -s;
-            result.energy = sampler.energy(result.spins);
-        }
-        AnnealSample candidate;
-        candidate.device_time_us = out.device_time_us;
-        candidate.physical_energy = result.energy;
-        candidate.node_bits.assign(num_nodes, false);
-        for (int n = 0; n < num_nodes; ++n)
-            candidate.node_bits[n] = result.spins[n] > 0;
-        candidate.clause_energy =
-            problem.clauseSpaceEnergy(candidate.node_bits);
-        candidate.weighted_energy =
-            problem.objective.energy(candidate.node_bits);
         if (!have_best || candidate.clause_energy < out.clause_energy) {
             out = candidate;
             have_best = true;

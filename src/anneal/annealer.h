@@ -2,10 +2,15 @@
  * @file
  * Quantum-annealer facade: the component that plays the role of the
  * D-Wave 2000Q in this reproduction. It programs an embedded (or
- * logical) Ising problem, draws one sample with a configurable noise
- * model, de-embeds chains by majority vote and reports the
- * clause-space energy that the HyQSAT backend interprets, together
- * with modeled device time.
+ * logical) Ising problem and draws one sample through a single
+ * annealing loop — compile (memoized per problem), control-noise
+ * replay, SA anneal, readout flips, chain de-embedding by majority
+ * vote, best of `attempts` — and reports the clause-space energy
+ * that the HyQSAT backend interprets, together with modeled device
+ * time. The embedded and logical devices differ only in what they
+ * compile; with zero noise and one attempt the logical device is
+ * plain simulated annealing over the logical Ising model (the `sa`
+ * backend).
  */
 
 #ifndef HYQSAT_ANNEAL_ANNEALER_H
@@ -106,17 +111,6 @@ class QuantumAnnealer
          */
         int num_reads = 1;
 
-        /**
-         * Parallel lockstep groups for multi-read anneals
-         * (SaOptions::reads_groups): 0 auto-sizes groups of up to 8
-         * SIMD lanes and fans them across the shared WorkPool, so
-         * the per-core vector speedup compounds with core count; 1
-         * forces a single group. Results stay a pure function of
-         * (seed, model, options) for every value — the partition
-         * never depends on the machine. No effect at num_reads <= 1.
-         */
-        int reads_groups = 0;
-
         std::uint64_t seed = 0x5eed0f2a;
     };
 
@@ -125,42 +119,24 @@ class QuantumAnnealer
     /**
      * Program the embedded problem onto the hardware graph and draw
      * one sample (the HyQSAT flow: one sample per CDCL iteration).
-     */
-    AnnealSample sample(const qubo::EncodedProblem &problem,
-                        const embed::Embedding &embedding);
-
-    /**
-     * Memoizing overload: identical result, but the compiled
-     * sampling form is fetched from (or parked in) @p slot — pass
-     * the CompiledSlot of the cached QueueEmbedResult that owns
-     * @p problem / @p embedding, so repeat samples of a cached
-     * embedding skip the whole model rebuild. @p slot may be null.
+     * When @p slot is given — the CompiledSlot of the cached
+     * QueueEmbedResult that owns @p problem / @p embedding — the
+     * compiled sampling form is fetched from (or parked in) it, so
+     * repeat samples of a cached embedding skip the model rebuild;
+     * the result is identical either way.
      */
     AnnealSample sample(const qubo::EncodedProblem &problem,
                         const embed::Embedding &embedding,
-                        const embed::CompiledSlot *slot);
+                        const embed::CompiledSlot *slot = nullptr);
 
     /**
-     * Sample the logical problem directly (ideal all-to-all device).
-     * Used by the noise-free simulator path and for calibration.
+     * Sample the logical problem directly (ideal all-to-all device:
+     * every node is its own one-qubit chain, so nothing breaks and
+     * no vote ties). Used by the `logical` and `sa` backends and for
+     * calibration; @p slot as in sample().
      */
-    AnnealSample sampleLogical(const qubo::EncodedProblem &problem);
-
-    /** Memoizing overload of sampleLogical; see sample(). */
     AnnealSample sampleLogical(const qubo::EncodedProblem &problem,
-                               const embed::CompiledSlot *slot);
-
-    /**
-     * Classical noise mitigation from the paper's related work
-     * (§VIII-C, majority voting [63]): draw @p samples device shots
-     * and majority-vote every node's value across them; the
-     * returned sample carries the voted assignment, its energies
-     * and the summed device time. HyQSAT itself deliberately uses
-     * one shot per iteration; this is the baseline it avoids.
-     */
-    AnnealSample sampleMajorityVote(const qubo::EncodedProblem &problem,
-                                    const embed::Embedding &embedding,
-                                    int samples);
+                               const embed::CompiledSlot *slot = nullptr);
 
     /** Access the RNG (e.g. to reseed between experiments). */
     Rng &rng() { return rng_; }
@@ -169,12 +145,21 @@ class QuantumAnnealer
 
     /**
      * Annealing work counters of the most recent sample() /
-     * sampleLogical() / sampleMajorityVote() call (summed over
-     * attempts, reads and shots). Feeds the anneal.* metrics.
+     * sampleLogical() call (summed over attempts and reads). Feeds
+     * the anneal.* metrics.
      */
     const SaStats &lastRunStats() const { return run_stats_; }
 
   private:
+    /**
+     * The annealing loop behind both entry points: noise replay,
+     * then per attempt anneal -> readout flips -> de-embed over
+     * cp->spin_node; the lowest clause-space energy wins. @p cp is
+     * null exactly for an empty problem (no draws, empty sample).
+     */
+    AnnealSample run(const qubo::EncodedProblem &problem,
+                     std::shared_ptr<const AnnealCompiled> cp);
+
     /** Gaussian control noise on a programmed coefficient. */
     double perturb(double value, double range);
 

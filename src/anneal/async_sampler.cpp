@@ -2,12 +2,18 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 
 #include "anneal/work_pool.h"
 #include "util/timer.h"
 
 namespace hyqsat::anneal {
+
+namespace {
+
+/** wait() poll interval while a stop token is attached. */
+constexpr std::chrono::microseconds kStopPoll{500};
+
+} // namespace
 
 AsyncSampler::AsyncSampler(std::unique_ptr<Sampler> inner, Options opts)
     : inner_(std::move(inner)), opts_(opts)
@@ -68,10 +74,8 @@ AsyncSampler::wait(std::vector<SampleCompletion> &out)
         // Cancellation point: bounded sleeps so a stop request is
         // observed within one poll interval even when the inner
         // sampler is stuck on a long job.
-        const auto interval = std::chrono::duration<double, std::micro>(
-            std::max(opts_.stop_poll_us, 1.0));
         while (!ready() && !opts_.stop->stopRequested())
-            done_cv_.wait_for(lock, interval);
+            done_cv_.wait_for(lock, kStopPoll);
     } else {
         done_cv_.wait(lock, ready);
     }
@@ -112,11 +116,12 @@ AsyncSampler::drainLoop()
         // Cooperative cancellation: once the stop token trips every
         // completion would be discarded by the (stopping) consumer,
         // so queued jobs are dropped instead of computed. Dropped
-        // jobs are never delivered — only wait()'s uncompleted_
-        // accounting needs them retired.
+        // jobs are never delivered, so they retire from both counts
+        // here: wait()'s uncompleted_ and inFlight()'s in_flight_.
         if (opts_.stop && opts_.stop->stopRequested()) {
             lock.lock();
             --uncompleted_;
+            --in_flight_;
             lock.unlock();
             done_cv_.notify_all();
             lock.lock();
@@ -129,11 +134,6 @@ AsyncSampler::drainLoop()
         Timer timer;
         AnnealSample sample = inner_->sampleNow(std::move(job.request));
         const double host_s = timer.seconds();
-        if (opts_.rtt_us > 0.0 &&
-            !(opts_.stop && opts_.stop->stopRequested())) {
-            std::this_thread::sleep_for(std::chrono::duration<double,
-                                        std::micro>(opts_.rtt_us));
-        }
 
         lock.lock();
         SampleCompletion completion;

@@ -10,9 +10,7 @@
  * WorkPool: at most one drain task is in flight at a time, so jobs
  * execute strictly in FIFO order on one thread at a time — a real
  * QPU is a single serially-scheduled device, so deeper parallelism
- * would misrepresent it; depth buys pipelining, not concurrency. An
- * optional modeled round-trip latency is slept on the strand to
- * emulate a remote device.
+ * would misrepresent it; depth buys pipelining, not concurrency.
  */
 
 #ifndef HYQSAT_ANNEAL_ASYNC_SAMPLER_H
@@ -38,20 +36,14 @@ class AsyncSampler : public Sampler
         /** Max in-flight submissions (clamped to >= 2). */
         int depth = 2;
 
-        /** Modeled network round trip slept per sample (us). */
-        double rtt_us = 0.0;
-
         /**
          * Cooperative cancellation: when set, wait() polls the token
-         * every stop_poll_us and returns (possibly empty-handed) once
-         * it trips, so a racing portfolio never hangs on a losing
+         * every 500 us and returns (possibly empty-handed) once it
+         * trips, so a racing portfolio never hangs on a losing
          * worker's in-flight sample. poll()/submit() never block and
          * need no token.
          */
         const StopToken *stop = nullptr;
-
-        /** wait() poll interval while a stop token is attached. */
-        double stop_poll_us = 500.0;
     };
 
     AsyncSampler(std::unique_ptr<Sampler> inner, Options opts);

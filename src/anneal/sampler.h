@@ -5,12 +5,15 @@
  *
  * The interface is future-style: submit() enqueues an embedded (or
  * logical) problem and returns a ticket; poll()/wait() harvest
- * completed samples. Synchronous backends (the default simulated
- * annealer paths) compute eagerly inside submit(), so a depth-1
- * caller behaves exactly like a blocking call. Asynchronous backends
- * (AsyncSampler's worker thread, a future remote QPU client) return
- * from submit() immediately and complete in the background; the
- * caller keeps doing CDCL work while a sample is in flight.
+ * completed samples. Every synchronous backend ("sync", "logical",
+ * "sa") is the one QuantumAnnealer device model (QaSampler) with a
+ * different device choice or noise setting; each backend has exactly
+ * one name. Synchronous backends compute eagerly inside submit(), so
+ * a depth-1 caller behaves exactly like a blocking call.
+ * Asynchronous backends (AsyncSampler's worker strand, a future
+ * remote QPU client) return from submit() immediately and complete
+ * in the background; the caller keeps doing CDCL work while a sample
+ * is in flight.
  *
  * Contract (see DESIGN.md "Sampler backends & async pipeline"):
  *  - Tickets are issued in strictly increasing order per sampler and
@@ -177,69 +180,42 @@ class SyncSampler : public Sampler
 
 /**
  * The QuantumAnnealer device model behind the Sampler interface —
- * the default backend ("qa"; "sync" is an alias used when the
- * depth-1 behavior is the point). force_logical pins the ideal
- * all-to-all device regardless of the request ("logical").
+ * every synchronous named backend is one of these. @p name is the
+ * --sampler spelling it reports: "sync" samples through the
+ * request's embedding (or the logical device when the request asks
+ * for it); force_logical pins the ideal all-to-all device regardless
+ * of the request ("logical", and "sa": the same device with its
+ * noise stripped).
  */
 class QaSampler : public SyncSampler
 {
   public:
     QaSampler(const chimera::ChimeraGraph &graph,
-              QuantumAnnealer::Options opts, bool force_logical = false,
+              QuantumAnnealer::Options opts, std::string name = "sync",
+              bool force_logical = false,
               MetricsRegistry *metrics = nullptr);
 
-    const char *name() const override
-    {
-        return force_logical_ ? "logical" : "qa";
-    }
-
-    QuantumAnnealer &annealer() { return annealer_; }
+    const char *name() const override { return name_.c_str(); }
 
   protected:
     AnnealSample compute(const SampleRequest &request) override;
 
   private:
     QuantumAnnealer annealer_;
+    std::string name_;
     bool force_logical_;
     AnnealMetrics metrics_;
 };
 
 /**
- * Plain simulated annealing over the logical Ising model ("sa"):
- * no topology, no control noise, no chains. The quality ceiling the
- * device emulation is compared against.
- */
-class SaDirectSampler : public SyncSampler
-{
-  public:
-    struct Options
-    {
-        SaOptions sa;
-        TimingModel timing; ///< still reports modeled device time
-        std::uint64_t seed = 0x5eed0f2a;
-    };
-
-    explicit SaDirectSampler(Options opts,
-                             MetricsRegistry *metrics = nullptr);
-
-    const char *name() const override { return "sa"; }
-
-  protected:
-    AnnealSample compute(const SampleRequest &request) override;
-
-  private:
-    Options opts_;
-    Rng rng_;
-    AnnealMetrics metrics_;
-};
-
-/**
  * Everything makeSampler() needs to build a backend by name:
- *   "sync" / "qa"  QuantumAnnealer device model (depth 1)
- *   "logical"      ideal all-to-all device (no embedding)
- *   "sa"           plain SA over the logical Ising model
- *   "async"        AsyncSampler-wrapped "qa" (depth >= 2)
- *   "async:<x>"    AsyncSampler wrapping non-async backend <x>
+ *   "sync"       QuantumAnnealer device model (depth 1)
+ *   "logical"    ideal all-to-all device (no embedding)
+ *   "sa"         the logical device noise-free: plain SA over the
+ *                logical Ising model (no control noise, no readout
+ *                error, one attempt)
+ *   "async"      AsyncSampler-wrapped "sync" (depth >= 2)
+ *   "async:<x>"  AsyncSampler wrapping non-async backend <x>
  * Best-of-N is annealer.num_reads on any of them, not a backend.
  */
 struct SamplerSpec
@@ -249,9 +225,6 @@ struct SamplerSpec
 
     /** In-flight depth for async backends (clamped to >= 2). */
     int pipeline_depth = 2;
-
-    /** Modeled network round-trip added per async sample (us). */
-    double rtt_us = 0.0;
 
     /**
      * Cooperative stop token observed by async backends' blocking

@@ -25,11 +25,7 @@ hybridSamplerSpec(const HybridConfig &config)
     // compose as "whoever asks for more reads wins".
     spec.annealer.num_reads =
         std::max({config.num_reads, config.annealer.num_reads, 1});
-    spec.annealer.reads_groups =
-        config.reads_groups > 0 ? config.reads_groups
-                                : config.annealer.reads_groups;
     spec.pipeline_depth = std::max(config.pipeline_depth, 2);
-    spec.rtt_us = config.rtt_us;
     spec.stop = config.stop;
     // A depth >= 2 turns any named synchronous backend into an async
     // pipeline; spelling "async" works too and defaults to depth 2.

@@ -73,8 +73,8 @@ struct HybridConfig
     std::int64_t max_warmup = 4096;
 
     /**
-     * Sampling backend by name: "sync"/"qa" (blocking device model,
-     * the classic loop), "logical", "sa", "async" or
+     * Sampling backend by name: "sync" (blocking device model, the
+     * classic loop), "logical", "sa", "async" or
      * "async:<backend>". See anneal::makeSampler.
      */
     std::string sampler = "sync";
@@ -96,19 +96,6 @@ struct HybridConfig
 
     /** Unread; kept because perfbench/workloads.cpp still assigns it. */
     bool reads_batch = false;
-
-    /**
-     * Parallel lockstep groups for multi-read samples
-     * (anneal::SaOptions::reads_groups): 0 auto-sizes groups of up
-     * to 8 SIMD lanes fanned across the shared WorkPool, 1 forces a
-     * single group, N pins the group count. Results are a pure
-     * function of (seed, model, options) for every value. No effect
-     * at num_reads <= 1.
-     */
-    int reads_groups = 0;
-
-    /** Modeled network round trip per async sample (microseconds). */
-    double rtt_us = 0.0;
 
     std::uint64_t seed = 0x47a9be57;
 

@@ -14,7 +14,7 @@ namespace {
 using Kind = Knob::Kind;
 using Scope = Knob::Scope;
 
-/** Upper bound of the count knobs (pipeline depth, reads, groups). */
+/** Upper bound of the count knobs (pipeline depth, reads). */
 constexpr int kMaxCount = 4096;
 
 /** A Number knob stored in one HybridConfig member. */
@@ -74,8 +74,6 @@ table()
          [](const HybridConfig &c) {
              return std::string(topology::kindName(c.topology));
          }},
-        number("reads-groups", Scope::Job, &HybridConfig::reads_groups, 0,
-               kMaxCount),
         {"sampler", Kind::Word, Scope::Cli, samplerSyntax(), "",
          [](HybridConfig &c, std::string_view v) {
              if (!anneal::isSamplerName(v))

@@ -65,7 +65,6 @@ TEST(AsyncSamplerCancel, WaitReturnsWithinPollIntervalAfterStop)
     AsyncSampler::Options opts;
     opts.depth = 2;
     opts.stop = &stop;
-    opts.stop_poll_us = 500.0;
 
     constexpr auto kSlow = std::chrono::milliseconds(400);
     AsyncSampler sampler(std::make_unique<SlowSampler>(kSlow), opts);
@@ -103,7 +102,6 @@ TEST(AsyncSamplerCancel, QueuedJobsDroppedAfterStop)
     AsyncSampler::Options opts;
     opts.depth = 4;
     opts.stop = &stop;
-    opts.stop_poll_us = 500.0;
 
     constexpr auto kSlow = std::chrono::milliseconds(100);
     AsyncSampler sampler(std::make_unique<SlowSampler>(kSlow), opts);
@@ -117,6 +115,17 @@ TEST(AsyncSamplerCancel, QueuedJobsDroppedAfterStop)
     // At most the one already-started sample is paid for; the three
     // queued jobs must be dropped, not computed (4 x 100 ms).
     EXPECT_LT(timer.seconds(), 0.3);
+    EXPECT_LE(out.size(), 1u);
+
+    // Dropped jobs retire from inFlight() too: once the started job
+    // is harvested nothing is left in flight (a stuck count would
+    // make Sampler::sampleNow spin forever).
+    Timer deadline;
+    while (sampler.inFlight() != 0 && deadline.seconds() < 1.0) {
+        sampler.poll(out);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(sampler.inFlight(), 0);
     EXPECT_LE(out.size(), 1u);
 }
 

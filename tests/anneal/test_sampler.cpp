@@ -100,16 +100,19 @@ TEST(Sampler, SyncSamplerTicketsAndInFlight)
     EXPECT_EQ(sampler.inFlight(), 0);
 }
 
-TEST(Sampler, SaDirectSamplerDeterministicPerSeed)
+TEST(Sampler, SaBackendDeterministicPerSeed)
 {
     const auto g = chimera::ChimeraGraph::dwave2000q();
     const auto request = requestFixture(g);
 
-    SaDirectSampler::Options opts;
-    opts.seed = 99;
-    SaDirectSampler a(opts), b(opts);
-    const auto sa = a.sampleNow(request);
-    const auto sb = b.sampleNow(request);
+    SamplerSpec spec;
+    spec.name = "sa";
+    spec.annealer.seed = 99;
+    const auto a = makeSampler(spec, g);
+    const auto b = makeSampler(spec, g);
+    EXPECT_STREQ(a->name(), "sa");
+    const auto sa = a->sampleNow(request);
+    const auto sb = b->sampleNow(request);
     EXPECT_EQ(sa.node_bits, sb.node_bits);
     EXPECT_DOUBLE_EQ(sa.clause_energy, sb.clause_energy);
     EXPECT_EQ(static_cast<int>(sa.node_bits.size()),
@@ -221,11 +224,12 @@ TEST(Sampler, FactoryRejectsUnknownAndNestedNames)
                 "");
 
     // The CLI knob validates with the same check at parse time.
-    for (const char *name : {"sync", "qa", "logical", "sa", "async",
-                             "async:qa", "async:sa", "async:logical"})
+    for (const char *name : {"sync", "logical", "sa", "async",
+                             "async:sync", "async:sa", "async:logical"})
         EXPECT_TRUE(isSamplerName(name)) << name;
-    for (const char *name : {"", "batch", "bogus", "async:",
-                             "async:async", "async:async:qa", "async:batch"})
+    for (const char *name : {"", "qa", "async:qa", "batch", "bogus",
+                             "async:", "async:async", "async:async:sync",
+                             "async:batch"})
         EXPECT_FALSE(isSamplerName(name)) << name;
 }
 

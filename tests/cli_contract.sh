@@ -37,7 +37,8 @@ daemon="$bin/solver_daemon"
 for bad in "--no-such-flag" "-x" "--num-reads abc" "--num-reads=0" \
            "--reads-groups 5000" "--topology kite" "--simplify=max" \
            "--depth 0" "--reads-batch=yes" "--noisy=2" "--depth" \
-           "--sampler bogus" "--sampler batch" "--sampler async:async"; do
+           "--sampler bogus" "--sampler batch" "--sampler async:async" \
+           "--sampler qa"; do
     # shellcheck disable=SC2086 # split the flag from its value
     expect 2 "$dimacs" "$cnf" $bad
     # shellcheck disable=SC2086
@@ -66,12 +67,12 @@ expect 10 "$dimacs" "$cnf" --classic --simplify
 expect 10 "$dimacs" "$cnf" --simplify=full --timeout-s 120 \
     --metrics "$work/m.json" --trace "$work/t.jsonl"
 expect 10 "$dimacs" "$cnf" --simplify full --noisy --warmup 4
-expect 10 "$dimacs" "$cnf" --num-reads 8 --reads-groups 2
+expect 10 "$dimacs" "$cnf" --num-reads 8
 expect 10 "$dimacs" "$cnf" --topology=pegasus --no-frontend-cache \
     --incremental-tracking --sampler=sa --depth 2 --conflicts 1000
 expect 0 "$batch" "$cnf" --quiet --workers 2 --jobs 1 --timeout-s 300 \
     --strict --simplify full --topology zephyr \
-    --reads-groups=3 --num-reads 4 --noisy --no-share \
+    --num-reads 4 --noisy --no-share \
     --json "$work/r.json" --csv "$work/r.csv"
 expect 0 "$batch" --quiet --strict --dir "$work" --manifest - < /dev/null
 

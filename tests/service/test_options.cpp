@@ -65,8 +65,7 @@ TEST(KnobTable, WireKeysAreTheJobScopeKnobs)
         submit.push_back(k->key());
     for (const Knob *k : knobs(Scope::Session))
         open.push_back(k->key());
-    EXPECT_EQ(submit, (std::vector<std::string>{
-                          "simplify", "topology", "reads_groups"}));
+    EXPECT_EQ(submit, (std::vector<std::string>{"simplify", "topology"}));
     EXPECT_EQ(open, (std::vector<std::string>{"simplify"}));
 
     // The report echo covers exactly the SUBMIT keys, in order.
@@ -122,12 +121,6 @@ TEST(KnobTable, CliFlagAndSubmitTokenSetTheSameMember)
          [](const HybridConfig &c) {
              return c.topology == topology::Kind::Chimera;
          }},
-        {{"--reads-groups", "7"}, "reads_groups=7",
-         [](const HybridConfig &c) { return c.reads_groups == 7; }},
-        {{"--reads-groups=0"}, "reads_groups=0",
-         [](const HybridConfig &c) { return c.reads_groups == 0; }},
-        {{"--reads-groups", "4096"}, "reads_groups=4096",
-         [](const HybridConfig &c) { return c.reads_groups == 4096; }},
     };
     for (const Case &tc : cases) {
         // Start both sides away from every tested value so each case
@@ -135,7 +128,6 @@ TEST(KnobTable, CliFlagAndSubmitTokenSetTheSameMember)
         HybridConfig base;
         base.simplify_strength = simplify::Strength::Full;
         base.topology = topology::Kind::Pegasus;
-        base.reads_groups = 5;
         if (tc.submit == "simplify=full")
             base.simplify_strength = simplify::Strength::Off;
         if (tc.submit == "topology=pegasus")
@@ -155,12 +147,11 @@ TEST(KnobTable, CliFlagAndSubmitTokenSetTheSameMember)
 TEST(KnobTable, MalformedValuesRejectedOnBothSides)
 {
     // Job-scope knobs: the same bad value fails as a flag and as a
-    // SUBMIT token.
+    // SUBMIT token. The retired reads-groups knob is unknown on both.
     const std::vector<std::pair<std::string, std::string>> bad = {
-        {"reads-groups", "5000"}, {"reads-groups", "-1"},
-        {"reads-groups", "two"},  {"reads-groups", ""},
-        {"topology", "kite"},     {"topology", ""},
-        {"simplify", "max"},      {"simplify", ""},
+        {"topology", "kite"}, {"topology", ""},
+        {"simplify", "max"},  {"simplify", ""},
+        {"reads-groups", "2"},
     };
     for (const auto &[name, value] : bad) {
         HybridConfig cfg;
@@ -181,7 +172,7 @@ TEST(KnobTable, MalformedValuesRejectedOnBothSides)
              {"--depth", "4097"},
              {"--warmup", "soon"},
              {"--noisy=2"},
-             {"--reads-groups", "5000"},
+             {"--reads-groups", "2"},
              {"--topology", "kite"},
              {"--sampler", "bogus"},
              {"--sampler", "batch"},
@@ -197,7 +188,7 @@ TEST(KnobTable, MalformedValuesRejectedOnBothSides)
     HybridConfig cfg;
     EXPECT_FALSE(parseSubmit("num_reads=4", cfg));
     EXPECT_FALSE(parseSubmit("warmup=3", cfg));
-    EXPECT_FALSE(parseSubmit("reads-groups=2", cfg)) << "CLI spelling";
+    EXPECT_FALSE(parseSubmit("no-frontend-cache=1", cfg)) << "CLI spelling";
 }
 
 TEST(KnobTable, ScopesGateEverySurface)
@@ -222,13 +213,13 @@ TEST(KnobTable, ScopesGateEverySurface)
 TEST(KnobTable, ApplySkipsValuesThatDoNotValidate)
 {
     HybridConfig cfg;
-    cfg.reads_groups = 2;
-    applyKnobs({{"reads_groups", "9999"},
+    cfg.num_reads = 2;
+    applyKnobs({{"num_reads", "9999"},
                 {"simplify", "bogus"},
                 {"no_such_knob", "1"},
                 {"topology", "zephyr"}},
                cfg);
-    EXPECT_EQ(cfg.reads_groups, 2);
+    EXPECT_EQ(cfg.num_reads, 2);
     EXPECT_EQ(cfg.simplify_strength, simplify::Strength::Off);
     EXPECT_EQ(cfg.topology, topology::Kind::Zephyr);
     EXPECT_EQ(knobValue({{"a", "1"}, {"a", "2"}}, "a"), "2");
@@ -288,9 +279,10 @@ TEST(CommandLine, UsageListsEveryFlag)
             << k->name;
     EXPECT_NE(usage.find("[--simplify[=off|light|full]]"),
               std::string::npos);
-    EXPECT_NE(usage.find("[--reads-groups N]"), std::string::npos);
+    EXPECT_NE(usage.find("[--num-reads N]"), std::string::npos);
+    EXPECT_EQ(usage.find("reads-groups"), std::string::npos);
     EXPECT_NE(usage.find("[--noisy]"), std::string::npos);
-    EXPECT_NE(usage.find("[--sampler sync|qa|logical|sa|async|async:NAME]"),
+    EXPECT_NE(usage.find("[--sampler sync|logical|sa|async|async:NAME]"),
               std::string::npos);
 }
 

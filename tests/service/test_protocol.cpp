@@ -106,30 +106,22 @@ TEST(ServiceProtocol, SubmitTopologyAndReadsBatchOptions)
 
 TEST(ServiceProtocol, SubmitReadsGroupsOption)
 {
-    // reads_groups= composes with every other override; 0 means
-    // auto-sized lockstep groups, absent keeps the daemon default.
-    const Request req = parseRequest(
-        "SUBMIT acme 2 job-9 reads_groups=4 topology=zephyr "
-        "simplify=off");
+    // reads_groups= is retired: the lockstep group partition is
+    // auto-sized, so the key is Invalid in every spelling while the
+    // remaining job knobs still compose.
+    for (const char *value : {"4", "0", "-1", "", "two"}) {
+        EXPECT_EQ(parseRequest(std::string("SUBMIT t 0 j reads_groups=") +
+                               value)
+                      .verb,
+                  Verb::Invalid)
+            << value;
+    }
+    const Request req =
+        parseRequest("SUBMIT acme 2 job-9 topology=zephyr simplify=off");
     EXPECT_EQ(req.verb, Verb::Submit);
-    EXPECT_EQ(knob(req, "reads_groups"), "4");
     EXPECT_EQ(knob(req, "topology"), "zephyr");
-
-    EXPECT_EQ(knob(parseRequest("SUBMIT t 0 j reads_groups=0"),
-                   "reads_groups"),
-              "0");
-    EXPECT_EQ(knob(parseRequest("SUBMIT t 0 j"), "reads_groups"), "")
-        << "unset keeps the daemon default";
-
-    // Bounds and syntax: negative, huge, and junk stay Invalid.
-    EXPECT_EQ(parseRequest("SUBMIT t 0 j reads_groups=-1").verb,
-              Verb::Invalid);
-    EXPECT_EQ(parseRequest("SUBMIT t 0 j reads_groups=4097").verb,
-              Verb::Invalid);
-    EXPECT_EQ(parseRequest("SUBMIT t 0 j reads_groups=").verb,
-              Verb::Invalid);
-    EXPECT_EQ(parseRequest("SUBMIT t 0 j reads_groups=two").verb,
-              Verb::Invalid);
+    EXPECT_EQ(knob(req, "simplify"), "off");
+    EXPECT_EQ(knob(req, "reads_groups"), "");
 }
 
 TEST(ServiceProtocol, ParsesWaitAndStatus)

@@ -2,7 +2,7 @@
  * @file
  * Report-format goldens: a fixed InstanceRecord must produce exactly
  * these JSON and CSV lines, so the knob-table-driven echo columns
- * (simplify, topology, reads_groups) and their defaults
+ * (simplify, topology) and their defaults
  * for a record that never got a config stay byte-stable for
  * downstream parsers.
  */
@@ -21,10 +21,7 @@ BatchReport
 goldenReport()
 {
     core::HybridConfig cfg;
-    core::applyKnobs({{"simplify", "full"},
-                      {"topology", "zephyr"},
-                      {"reads_groups", "3"}},
-                     cfg);
+    core::applyKnobs({{"simplify", "full"}, {"topology", "zephyr"}}, cfg);
 
     InstanceRecord solved;
     solved.name = "gc1-0";
@@ -74,7 +71,7 @@ TEST(ServiceReport, JsonGolden)
         "    {\"name\": \"gc1-0\", \"path\": \"suite/gc1-0.cnf\", "
         "\"status\": \"SAT\", \"winner\": \"reads\", "
         "\"simplify\": \"full\", \"topology\": \"zephyr\", "
-        "\"reads_groups\": 3, \"wall_s\": 0.25, "
+        "\"wall_s\": 0.25, "
         "\"vars\": 150, \"clauses\": 645, \"iterations\": 12, "
         "\"conflicts\": 34, \"restarts\": 2, \"propagations\": 5678, "
         "\"qa_samples\": 7, \"time\": {\"frontend_s\": 0.125, "
@@ -83,7 +80,7 @@ TEST(ServiceReport, JsonGolden)
         "{\"solver.conflicts\": 34, \"portfolio.wall_s\": 0.25}},\n"
         "    {\"name\": \"queued\", \"path\": \"\", \"status\": "
         "\"CANCELLED\", \"winner\": \"\", \"simplify\": \"\", "
-        "\"topology\": \"\", \"reads_groups\": 0, "
+        "\"topology\": \"\", "
         "\"wall_s\": 0, \"vars\": 0, \"clauses\": 0, \"iterations\": 0, "
         "\"conflicts\": 0, \"restarts\": 0, \"propagations\": 0, "
         "\"qa_samples\": 0, \"time\": {\"frontend_s\": 0, "
@@ -99,13 +96,13 @@ TEST(ServiceReport, CsvGolden)
     writeCsvReport(goldenReport(), out);
     EXPECT_EQ(out.str(),
               "name,path,status,winner,simplify,topology,"
-              "reads_groups,wall_s,vars,clauses,iterations,conflicts,"
+              "wall_s,vars,clauses,iterations,conflicts,"
               "restarts,propagations,qa_samples,frontend_s,qa_device_s,"
               "qa_blocking_s,backend_s,cdcl_s\n"
-              "gc1-0,suite/gc1-0.cnf,SAT,reads,full,zephyr,3,"
+              "gc1-0,suite/gc1-0.cnf,SAT,reads,full,zephyr,"
               "0.25,150,645,12,34,2,5678,7,0.125,0.0005,0.00025,0.0625,"
               "1.5\n"
-              "queued,,CANCELLED,,,,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n");
+              "queued,,CANCELLED,,,,0,0,0,0,0,0,0,0,0,0,0,0,0\n");
 }
 
 } // namespace
