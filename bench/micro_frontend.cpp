@@ -4,26 +4,23 @@
  * (clause queue -> QUBO encode -> Chimera embed) at a deep search
  * state under three configurations,
  *
- *   cold   one-shot Frontend::run on a scan solver: every buffer is
- *          allocated fresh and the unsatisfied-clause enumeration is
- *          an O(M*3) trail rescan (the pre-fast-path behaviour);
- *   warm   persistent FrontendWorkspace + incremental satisfied-
- *          clause tracking, cache disabled: allocation-free steady
- *          state, O(unsat) enumeration, but a full embed per run;
+ *   cold   one-shot Frontend::run: every buffer is allocated fresh;
+ *   warm   persistent FrontendWorkspace, cache disabled: allocation-
+ *          free steady state, but a full embed per run;
  *   cache  warm plus the (embedding, encoding) memo: the per-
  *          iteration RNG is reseeded identically so every timed run
  *          is a cache hit,
  *
  * and emits one "BENCH {json}" trajectory line per path with the
- * per-iteration cost and the speedup over cold. Acceptance bars
- * (ISSUE 4): warm >= 2x cold, cache >= 5x cold at full scale.
+ * per-iteration cost and the speedup over cold. Every path enumerates
+ * the unsatisfied clauses with the solver's O(M*3) scan. Acceptance
+ * bars: warm >= 2x cold, cache >= 5x cold at full scale.
  *
  * The measurement runs inside the solver's iteration hook at the
- * first decision iteration whose level reaches a target depth, on
- * twin deterministic solvers (identical seeds/options except the
- * tracking flag), so both paths see the exact same trail; the bench
- * asserts the three paths return identical queues and embedded
- * prefixes before reporting any number.
+ * first deep, mostly-assigned state with an unsatisfied clause; all
+ * three paths are timed there against the same trail, and the bench
+ * asserts they return identical queues and embedded prefixes before
+ * reporting any number.
  *
  *   ./micro_frontend [--smoke]    (HYQSAT_BENCH_TINY=1 also works)
  */
@@ -76,7 +73,7 @@ main(int argc, char **argv)
     // Satisfiable-regime ratio (m/n = 3.5): the search reaches deep,
     // mostly-assigned states where nearly every clause is satisfied —
     // exactly the steady state of the hybrid warm-up, and the regime
-    // where the cold path's O(M*3) rescan and allocation storm
+    // where the O(M*3) scan and the cold path's allocation storm
     // dominate one frontend pass.
     int num_vars = smoke ? 120 : 2000;
     if (const char *env = std::getenv("HYQSAT_MICRO_FRONTEND_VARS"))
@@ -102,24 +99,12 @@ main(int argc, char **argv)
     MetricsRegistry registry;
     const core::Frontend fe_cache(graph, {}, &registry);
 
-    // Twin deterministic solvers: identical options/seed except the
-    // tracking flag, so both reach the same trail at the same
-    // iteration and the paths are timed against identical states.
-    const auto makeOptions = [](bool tracking) {
-        sat::SolverOptions opts;
-        opts.instrument_clauses = true;
-        opts.incremental_clause_tracking = tracking;
-        return opts;
-    };
-
     PathTiming cold, warm, cache;
     int measured_level = -1;
-    std::size_t measured_trail = 0;
+    std::size_t measured_unsat = 0;
 
     // Trigger for the timed section: deep, mostly-assigned state with
-    // at least one unsatisfied clause (so the queue is non-empty). A
-    // pure function of solver state, so the deterministic twins fire
-    // at the exact same iteration.
+    // at least one unsatisfied clause (so the queue is non-empty).
     const auto atMeasurementState = [&](const sat::Solver &s) {
         int assigned = 0;
         for (sat::Var v = 0; v < s.numVars(); ++v) {
@@ -136,87 +121,48 @@ main(int argc, char **argv)
         return false;
     };
 
-    // Path 1: cold, on the scan solver.
-    {
-        sat::Solver solver(makeOptions(false));
-        if (!solver.loadCnf(cnf)) {
-            std::printf("FAIL: instance trivially unsat\n");
-            return 1;
+    // One untimed reference run, then reps timed runs, each from the
+    // same queue seed.
+    const auto timePath = [&](PathTiming &path, const auto &runOnce) {
+        {
+            Rng rng(queue_seed);
+            path.reference = runOnce(rng);
         }
-        solver.setIterationHook([&](sat::Solver &s) {
-            if (cold.per_iter_us >= 0.0 || !atMeasurementState(s))
-                return;
-            measured_level = s.decisionLevel();
-            measured_trail = s.unsatisfiedOriginalClauses().size();
-            {
-                Rng rng(queue_seed);
-                cold.reference = fe_nocache.run(s, rng);
-            }
-            Timer t;
-            for (int i = 0; i < reps; ++i) {
-                Rng rng(queue_seed);
-                const auto r = fe_nocache.run(s, rng);
-                (void)r;
-            }
-            cold.wall_s = t.seconds();
-            cold.per_iter_us = cold.wall_s * 1e6 / reps;
-            s.requestStop();
-        });
-        (void)solver.solve();
-    }
-
-    // Paths 2+3: warm workspace and cache hit, on the tracking twin.
-    {
-        sat::Solver solver(makeOptions(true));
-        if (!solver.loadCnf(cnf)) {
-            std::printf("FAIL: instance trivially unsat\n");
-            return 1;
+        Timer t;
+        for (int i = 0; i < reps; ++i) {
+            Rng rng(queue_seed);
+            const auto r = runOnce(rng);
+            (void)r;
         }
-        core::FrontendWorkspace ws_warm, ws_cache;
-        solver.setIterationHook([&](sat::Solver &s) {
-            if (warm.per_iter_us >= 0.0 || !atMeasurementState(s))
-                return;
+        path.wall_s = t.seconds();
+        path.per_iter_us = path.wall_s * 1e6 / reps;
+    };
 
-            // Warm: workspace reuse + incremental tracking, full
-            // embed every run (cache off).
-            {
-                Rng rng(queue_seed);
-                warm.reference = fe_nocache.run(s, rng, ws_warm);
-            }
-            {
-                Timer t;
-                for (int i = 0; i < reps; ++i) {
-                    Rng rng(queue_seed);
-                    const auto r = fe_nocache.run(s, rng, ws_warm);
-                    (void)r;
-                }
-                warm.wall_s = t.seconds();
-                warm.per_iter_us = warm.wall_s * 1e6 / reps;
-            }
-
-            // Cache: first run misses and populates, every timed run
-            // reseeds the same queue and hits.
-            {
-                Rng rng(queue_seed);
-                cache.reference = fe_cache.run(s, rng, ws_cache);
-            }
-            {
-                Timer t;
-                for (int i = 0; i < reps; ++i) {
-                    Rng rng(queue_seed);
-                    const auto r = fe_cache.run(s, rng, ws_cache);
-                    (void)r;
-                }
-                cache.wall_s = t.seconds();
-                cache.per_iter_us = cache.wall_s * 1e6 / reps;
-            }
-            s.requestStop();
-        });
-        (void)solver.solve();
+    sat::Solver solver;
+    if (!solver.loadCnf(cnf)) {
+        std::printf("FAIL: instance trivially unsat\n");
+        return 1;
     }
+    core::FrontendWorkspace ws_warm, ws_cache;
+    solver.setIterationHook([&](sat::Solver &s) {
+        if (cold.per_iter_us >= 0.0 || !atMeasurementState(s))
+            return;
+        measured_level = s.decisionLevel();
+        measured_unsat = s.unsatisfiedOriginalClauses().size();
+        timePath(cold, [&](Rng &rng) { return fe_nocache.run(s, rng); });
+        timePath(warm, [&](Rng &rng) {
+            return fe_nocache.run(s, rng, ws_warm);
+        });
+        // The reference run misses and populates; every timed run
+        // reseeds the same queue and hits.
+        timePath(cache, [&](Rng &rng) {
+            return fe_cache.run(s, rng, ws_cache);
+        });
+        s.requestStop();
+    });
+    (void)solver.solve();
 
-    if (cold.per_iter_us < 0.0 || warm.per_iter_us < 0.0 ||
-        cache.per_iter_us < 0.0) {
+    if (cold.per_iter_us < 0.0) {
         std::printf("FAIL: search never reached the measurement "
                     "state (>= %.0f%% assigned with an unsatisfied "
                     "clause)\n",
@@ -225,7 +171,7 @@ main(int argc, char **argv)
     }
 
     // Determinism: every path must produce the same frontend result
-    // from the same trail and RNG seed, across the tracking twin.
+    // from the same trail and RNG seed.
     if (!sameResult(cold.reference, warm.reference) ||
         !sameResult(warm.reference, cache.reference)) {
         std::printf("FAIL: fast-path results diverge from the cold "
@@ -240,7 +186,7 @@ main(int argc, char **argv)
 
     std::printf("measured at decision level %d, %zu unsatisfied "
                 "clauses; queue %zu, embedded %zu\n",
-                measured_level, measured_trail,
+                measured_level, measured_unsat,
                 cold.reference.queue.size(),
                 cold.reference.embedded_clauses.size());
     std::printf("cold  %9.2f us/run\n", cold.per_iter_us);

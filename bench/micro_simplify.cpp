@@ -9,9 +9,8 @@
  *
  *  2. Hybrid A/B: solve the same phase-transition instance with
  *     HybridSolver at simplify off vs full and record the frontend
- *     cache (frontend.cache.hits/misses) and unsatisfied-clause
- *     enumeration (frontend.unsat.incremental/scans) counter deltas,
- *     i.e. how preprocessing changes the work the QA frontend sees.
+ *     cache (frontend.cache.hits/misses) counter deltas, i.e. how
+ *     preprocessing changes the work the QA frontend sees.
  *
  * Emits one "BENCH {json}" trajectory line per (family, strength)
  * reduction row and per hybrid path; run_benches.sh collects them
@@ -108,8 +107,6 @@ struct HybridProbe
     std::uint64_t iterations = 0;
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
-    std::uint64_t unsat_incremental = 0;
-    std::uint64_t unsat_scans = 0;
 };
 
 HybridProbe
@@ -132,9 +129,6 @@ probeHybrid(const sat::Cnf &cnf, simplify::Strength strength,
     p.cache_hits = registry.counter("frontend.cache.hits")->value();
     p.cache_misses =
         registry.counter("frontend.cache.misses")->value();
-    p.unsat_incremental =
-        registry.counter("frontend.unsat.incremental")->value();
-    p.unsat_scans = registry.counter("frontend.unsat.scans")->value();
     return p;
 }
 
@@ -142,26 +136,21 @@ void
 reportHybrid(const char *path, const HybridProbe &p)
 {
     std::printf("hybrid %-4s  %-7s  %6llu iters  cache %llu/%llu "
-                "hit/miss  unsat enum %llu inc / %llu scans  %.3f s\n",
+                "hit/miss  %.3f s\n",
                 path, p.status,
                 static_cast<unsigned long long>(p.iterations),
                 static_cast<unsigned long long>(p.cache_hits),
                 static_cast<unsigned long long>(p.cache_misses),
-                static_cast<unsigned long long>(p.unsat_incremental),
-                static_cast<unsigned long long>(p.unsat_scans),
                 p.wall_s);
     std::printf("BENCH {\"bench\":\"micro_simplify\","
                 "\"kind\":\"hybrid_ab\",\"path\":\"%s\","
                 "\"status\":\"%s\",\"wall_s\":%.6f,"
                 "\"iterations\":%llu,\"cache_hits\":%llu,"
-                "\"cache_misses\":%llu,\"unsat_incremental\":%llu,"
-                "\"unsat_scans\":%llu}\n",
+                "\"cache_misses\":%llu}\n",
                 path, p.status, p.wall_s,
                 static_cast<unsigned long long>(p.iterations),
                 static_cast<unsigned long long>(p.cache_hits),
-                static_cast<unsigned long long>(p.cache_misses),
-                static_cast<unsigned long long>(p.unsat_incremental),
-                static_cast<unsigned long long>(p.unsat_scans));
+                static_cast<unsigned long long>(p.cache_misses));
 }
 
 } // namespace

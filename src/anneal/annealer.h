@@ -132,8 +132,8 @@ class QuantumAnnealer
     /**
      * Sample the logical problem directly (ideal all-to-all device:
      * every node is its own one-qubit chain, so nothing breaks and
-     * no vote ties). Used by the `logical` and `sa` backends and for
-     * calibration; @p slot as in sample().
+     * no vote ties). Used by the `logical` and `sa` backends;
+     * @p slot as in sample().
      */
     AnnealSample sampleLogical(const qubo::EncodedProblem &problem,
                                const embed::CompiledSlot *slot = nullptr);

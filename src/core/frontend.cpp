@@ -18,9 +18,6 @@ Frontend::Frontend(const chimera::ChimeraGraph &graph,
         cache_misses_ = metrics->counter("frontend.cache.misses");
         cache_evictions_ =
             metrics->counter("frontend.cache.evictions");
-        unsat_incremental_ =
-            metrics->counter("frontend.unsat.incremental");
-        unsat_scans_ = metrics->counter("frontend.unsat.scans");
         cache_s_ = metrics->timer("frontend.cache");
     }
 }
@@ -39,9 +36,6 @@ Frontend::run(const sat::Solver &solver, Rng &rng,
     Timer timer;
     FrontendResult result;
     metricInc(runs_);
-    metricInc(solver.options().incremental_clause_tracking
-                  ? unsat_incremental_
-                  : unsat_scans_);
 
     generateClauseQueue(solver, opts_.queue, rng, ws.queue,
                         result.queue);

@@ -101,9 +101,8 @@ class Frontend
   public:
     /**
      * @param metrics optional registry: resolves frontend.runs,
-     *        frontend.cache.{hits,misses,evictions},
-     *        frontend.unsat.{incremental,scans} counters and the
-     *        frontend.cache timer eagerly (so the keys exist in any
+     *        frontend.cache.{hits,misses,evictions} counters and
+     *        the frontend.cache timer eagerly (so the keys exist in any
      *        dump even before the first run).
      */
     Frontend(const chimera::ChimeraGraph &graph,
@@ -134,8 +133,6 @@ class Frontend
     Counter *cache_hits_ = nullptr;
     Counter *cache_misses_ = nullptr;
     Counter *cache_evictions_ = nullptr;
-    Counter *unsat_incremental_ = nullptr;
-    Counter *unsat_scans_ = nullptr;
     MetricTimer *cache_s_ = nullptr;
 };
 

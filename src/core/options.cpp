@@ -97,10 +97,6 @@ table()
                [](HybridConfig &c, bool on) {
                    c.frontend.cache_embeddings = !on;
                }),
-        toggle("incremental-tracking", Scope::Solo,
-               [](HybridConfig &c, bool on) {
-                   c.solver.incremental_clause_tracking = on;
-               }),
     };
     return knobs;
 }

@@ -35,9 +35,7 @@ constexpr double kClauseActivityRescale = 1e20;
 Solver::Solver(const SolverOptions &opts)
     : opts_(opts), rng_(opts.seed), order_heap_(scores_),
       chb_alpha_(opts.chb_alpha), conflict_budget_(opts.conflict_budget),
-      decision_budget_(opts.decision_budget),
-      track_sat_(opts.incremental_clause_tracking &&
-                 opts.instrument_clauses)
+      decision_budget_(opts.decision_budget)
 {
 }
 
@@ -54,10 +52,6 @@ Solver::newVar()
     seen_.push_back(0);
     scores_.push_back(0.0);
     chb_last_conflict_.push_back(0);
-    if (track_sat_) {
-        lit_occurs_.emplace_back();
-        lit_occurs_.emplace_back();
-    }
     insertVarOrder(v);
     return v;
 }
@@ -72,13 +66,13 @@ Solver::insertVarOrder(Var v)
 bool
 Solver::addClause(LitVec lits, int original_index)
 {
-    // Root-level only: the value()-based simplification below and
-    // the tracked sat-counts are sound against a level-0 trail, not
-    // against in-search assignments (incremental callers add clauses
-    // between solves, where cancelUntil(0) has already run).
+    // Root-level only: the value()-based simplification below is
+    // sound against a level-0 trail, not against in-search
+    // assignments (incremental callers add clauses between solves,
+    // where cancelUntil(0) has already run).
     if (decisionLevel() != 0)
         panic("addClause outside the root level");
-    if (original_index >= 0 && opts_.instrument_clauses) {
+    if (original_index >= 0) {
         const auto need = static_cast<std::size_t>(original_index) + 1;
         if (source_.size() < need) {
             source_.resize(need);
@@ -86,16 +80,12 @@ Solver::addClause(LitVec lits, int original_index)
             visits_confl_.resize(need, 0);
             paper_score_.resize(need, 1.0);
         }
-        if (track_sat_)
-            untrackOriginal(original_index);
         source_[original_index] = lits;
     }
     for (Lit p : lits) {
         while (p.var() >= numVars())
             newVar();
     }
-    if (original_index >= 0 && track_sat_)
-        trackOriginal(original_index);
     if (!ok_)
         return false;
 
@@ -230,13 +220,6 @@ Solver::enqueue(Lit p, CRef from)
     assigns_[p.var()] = lbool(!p.sign());
     vardata_[p.var()] = {from, decisionLevel()};
     trail_.push_back(p);
-    if (track_sat_) {
-        // p just became true: every tracked clause containing the
-        // literal p gains one satisfied literal.
-        for (const int ci : lit_occurs_[p.x])
-            if (sat_count_[ci]++ == 0)
-                unsatRemove(ci);
-    }
     return true;
 }
 
@@ -259,10 +242,8 @@ Solver::propagate()
             }
 
             Clause &c = arena_.ref(w.cref);
-            if (opts_.instrument_clauses && !c.learnt() &&
-                c.originalIndex() != ~0u) {
+            if (!c.learnt() && c.originalIndex() != ~0u)
                 ++visits_prop_[c.originalIndex()];
-            }
 
             // Normalize so the false literal is in position 1.
             const Lit false_lit = ~p;
@@ -311,7 +292,7 @@ Solver::propagate()
 void
 Solver::noteClauseInConflict(const Clause &c)
 {
-    if (!opts_.instrument_clauses || c.learnt() || c.originalIndex() == ~0u)
+    if (c.learnt() || c.originalIndex() == ~0u)
         return;
     ++visits_confl_[c.originalIndex()];
     paper_score_[c.originalIndex()] += 1.0;
@@ -479,14 +460,6 @@ Solver::cancelUntil(int level)
     for (int i = static_cast<int>(trail_.size()) - 1;
          i >= trail_lim_[level]; --i) {
         const Var v = trail_[i].var();
-        if (track_sat_) {
-            // The literal trail_[i] stops being true: clauses that
-            // relied on it as their last satisfied literal return to
-            // the unsat set.
-            for (const int ci : lit_occurs_[trail_[i].x])
-                if (--sat_count_[ci] == 0)
-                    unsatAdd(ci);
-        }
         assigns_[v] = l_Undef;
         if (opts_.phase_saving)
             polarity_[v] = trail_[i].sign();
@@ -1077,83 +1050,9 @@ Solver::boolModel() const
     return out;
 }
 
-void
-Solver::unsatAdd(int ci)
-{
-    if (unsat_pos_[ci] >= 0)
-        return;
-    unsat_pos_[ci] = static_cast<int>(unsat_list_.size());
-    unsat_list_.push_back(ci);
-}
-
-void
-Solver::unsatRemove(int ci)
-{
-    const int pos = unsat_pos_[ci];
-    if (pos < 0)
-        return;
-    const int last = unsat_list_.back();
-    unsat_list_[pos] = last;
-    unsat_pos_[last] = pos;
-    unsat_list_.pop_back();
-    unsat_pos_[ci] = -1;
-}
-
-void
-Solver::untrackOriginal(int idx)
-{
-    // Undo a previous registration of index idx (addClause reusing
-    // an original index): strip its occurrence-list entries so the
-    // new literals do not double-count. source_[idx] still holds the
-    // OLD literals at this point.
-    if (idx >= static_cast<int>(sat_count_.size()))
-        return;
-    for (const Lit p : source_[idx]) {
-        auto &occ = lit_occurs_[p.x];
-        for (std::size_t i = 0; i < occ.size(); ++i) {
-            if (occ[i] == idx) {
-                occ[i] = occ.back();
-                occ.pop_back();
-                break;
-            }
-        }
-    }
-    sat_count_[idx] = 0;
-    unsatAdd(idx);
-}
-
-void
-Solver::trackOriginal(int idx)
-{
-    // Grow the per-clause arrays; gap indices (reserved by a sparse
-    // original_index but never given literals) have zero satisfied
-    // literals and therefore sit in the unsat set, matching the
-    // scan over their empty source_ entries.
-    const int old = static_cast<int>(sat_count_.size());
-    if (idx >= old) {
-        sat_count_.resize(idx + 1, 0);
-        unsat_pos_.resize(idx + 1, -1);
-        for (int i = old; i <= idx; ++i)
-            unsatAdd(i);
-    }
-    int count = 0;
-    for (const Lit p : source_[idx]) {
-        lit_occurs_[p.x].push_back(idx);
-        if (value(p).isTrue())
-            ++count;
-    }
-    sat_count_[idx] = count;
-    if (count > 0)
-        unsatRemove(idx);
-    else
-        unsatAdd(idx);
-}
-
 bool
 Solver::originalClauseSatisfiedNow(int idx) const
 {
-    if (track_sat_)
-        return sat_count_[idx] > 0;
     for (const Lit p : source_[idx])
         if (value(p).isTrue())
             return true;
@@ -1164,14 +1063,6 @@ void
 Solver::unsatisfiedOriginalClausesInto(std::vector<int> &out) const
 {
     out.clear();
-    if (track_sat_) {
-        // Sorted copy of the live sparse set: ascending order keeps
-        // the result bit-identical to the scan implementation (and
-        // independent of the swap-erase history).
-        out.assign(unsat_list_.begin(), unsat_list_.end());
-        std::sort(out.begin(), out.end());
-        return;
-    }
     for (int i = 0; i < numOriginalClauses(); ++i)
         if (!originalClauseSatisfiedNow(i))
             out.push_back(i);

@@ -230,8 +230,7 @@ class Solver
     void bumpVarPriority(Var v, double factor = 1.0);
 
     // ------------------------------------------------------------------
-    // Instrumentation (per original clause; requires
-    // SolverOptions::instrument_clauses)
+    // Instrumentation (per original clause, always on)
     // ------------------------------------------------------------------
 
     /** Visits of clause @p idx during propagation (Fig. 5). */
@@ -266,9 +265,8 @@ class Solver
 
     /**
      * @return true iff original clause @p idx is satisfied under the
-     * current (possibly partial) trail. O(1) when
-     * SolverOptions::incremental_clause_tracking is on, otherwise a
-     * scan of the clause's literals.
+     * current (possibly partial) trail: a scan of the clause's
+     * literals.
      */
     bool originalClauseSatisfiedNow(int idx) const;
 
@@ -277,9 +275,9 @@ class Solver
 
     /**
      * Fill @p out with the indices of unsatisfied original clauses,
-     * ascending, reusing @p out's capacity. With incremental
-     * tracking this is O(unsat · log unsat) (sorted copy of the live
-     * set); without it, a full O(M·3) scan.
+     * ascending, reusing @p out's capacity: one O(M·3) scan of every
+     * original clause. Index gaps left by a sparse original_index have
+     * no literals and so count as unsatisfied.
      */
     void unsatisfiedOriginalClausesInto(std::vector<int> &out) const;
 
@@ -462,24 +460,6 @@ class Solver
     std::vector<std::uint64_t> visits_prop_;
     std::vector<std::uint64_t> visits_confl_;
     std::vector<double> paper_score_;
-
-    // --- incremental satisfied-clause tracking -------------------------
-    // Enabled by SolverOptions::incremental_clause_tracking (requires
-    // instrument_clauses). sat_count_[i] is the number of currently
-    // true literals of original clause i; the unsat clauses form a
-    // sparse set (unsat_list_ + positions) maintained at the two
-    // assignment boundaries (enqueue / cancelUntil), so enumeration
-    // is O(unsat) instead of an O(M·3) trail rescan.
-    void untrackOriginal(int idx);
-    void trackOriginal(int idx);
-    void unsatAdd(int ci);
-    void unsatRemove(int ci);
-
-    bool track_sat_ = false;
-    std::vector<std::vector<int>> lit_occurs_; // indexed by Lit.x
-    std::vector<int> sat_count_;               // per original clause
-    std::vector<int> unsat_list_;              // sparse-set contents
-    std::vector<int> unsat_pos_; // index into unsat_list_, -1 if absent
 };
 
 } // namespace hyqsat::sat

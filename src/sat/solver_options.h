@@ -77,18 +77,6 @@ struct SolverOptions
     /** Decision budget; negative means unlimited. */
     std::int64_t decision_budget = -1;
 
-    /** Enable per-original-clause visit/activity instrumentation. */
-    bool instrument_clauses = true;
-
-    /**
-     * Maintain per-original-clause satisfied-literal counters on the
-     * trail (assign/unassign hooks) so originalClauseSatisfiedNow is
-     * O(1) and unsatisfiedOriginalClauses is O(unsat) instead of a
-     * full O(M·3) rescan. Requires instrument_clauses; results are
-     * identical to the scan implementation (verified by tests).
-     */
-    bool incremental_clause_tracking = false;
-
     /** @return the MiniSat-like baseline configuration. */
     static SolverOptions
     minisatStyle()

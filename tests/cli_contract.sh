@@ -38,7 +38,7 @@ for bad in "--no-such-flag" "-x" "--num-reads abc" "--num-reads=0" \
            "--reads-groups 5000" "--topology kite" "--simplify=max" \
            "--depth 0" "--reads-batch=yes" "--noisy=2" "--depth" \
            "--sampler bogus" "--sampler batch" "--sampler async:async" \
-           "--sampler qa"; do
+           "--sampler qa" "--incremental-tracking"; do
     # shellcheck disable=SC2086 # split the flag from its value
     expect 2 "$dimacs" "$cnf" $bad
     # shellcheck disable=SC2086
@@ -69,7 +69,7 @@ expect 10 "$dimacs" "$cnf" --simplify=full --timeout-s 120 \
 expect 10 "$dimacs" "$cnf" --simplify full --noisy --warmup 4
 expect 10 "$dimacs" "$cnf" --num-reads 8
 expect 10 "$dimacs" "$cnf" --topology=pegasus --no-frontend-cache \
-    --incremental-tracking --sampler=sa --depth 2 --conflicts 1000
+    --sampler=sa --depth 2 --conflicts 1000
 expect 0 "$batch" "$cnf" --quiet --workers 2 --jobs 1 --timeout-s 300 \
     --strict --simplify full --topology zephyr \
     --num-reads 4 --noisy --no-share \

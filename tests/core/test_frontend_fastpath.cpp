@@ -2,9 +2,9 @@
  * @file
  * Frontend fast path: workspace-vs-one-shot equivalence, the
  * (embedding, encoding) memo's hit/miss/eviction accounting, the
- * cache-bypass knob, and the A/B determinism guard proving the whole
- * fast path (workspace + cache + incremental clause tracking) leaves
- * HybridResult bit-identical to the slow path.
+ * cache-bypass knob, and the A/B determinism guard proving the fast
+ * path (workspace + cache) leaves HybridResult bit-identical to the
+ * slow path.
  */
 
 #include <gtest/gtest.h>
@@ -18,11 +18,9 @@ namespace hyqsat::core {
 namespace {
 
 sat::Solver
-loadedSolver(const sat::Cnf &cnf, bool tracking = false)
+loadedSolver(const sat::Cnf &cnf)
 {
-    sat::SolverOptions opts;
-    opts.incremental_clause_tracking = tracking;
-    sat::Solver solver(opts);
+    sat::Solver solver;
     EXPECT_TRUE(solver.loadCnf(cnf));
     return solver;
 }
@@ -61,22 +59,6 @@ TEST(FrontendFastPath, WorkspaceMatchesOneShot)
         // Identical RNG consumption: the streams stay in lockstep.
         EXPECT_EQ(rng_a.next(), rng_b.next());
     }
-}
-
-TEST(FrontendFastPath, TrackingSolverMatchesScanSolver)
-{
-    const chimera::ChimeraGraph graph(16, 16, 4);
-    const Frontend frontend(graph, {});
-    Rng gen(4);
-    const auto cnf = sat::testing::randomCnf(40, 170, 3, gen);
-    auto scan = loadedSolver(cnf, false);
-    auto track = loadedSolver(cnf, true);
-    scan.setConflictBudget(300);
-    track.setConflictBudget(300);
-    EXPECT_EQ(scan.solve(), track.solve()); // deterministic twins
-    Rng rng_a(99), rng_b(99);
-    expectSameResult(frontend.run(scan, rng_a),
-                     frontend.run(track, rng_b));
 }
 
 TEST(FrontendFastPath, RepeatedRunsHitTheCache)
@@ -184,23 +166,6 @@ TEST(FrontendFastPath, EmptyQueueCountsAsMissAndYieldsEmptyProblem)
     EXPECT_EQ(metrics.counter("frontend.cache.hits")->value(), 0u);
 }
 
-TEST(FrontendFastPath, UnsatPathCountersFollowTheSolverMode)
-{
-    const chimera::ChimeraGraph graph(16, 16, 4);
-    MetricsRegistry metrics;
-    const Frontend frontend(graph, {}, &metrics);
-    Rng gen(12);
-    const auto cnf = sat::testing::randomCnf(25, 90, 3, gen);
-    const auto scan = loadedSolver(cnf, false);
-    const auto track = loadedSolver(cnf, true);
-    Rng rng(2);
-    (void)frontend.run(scan, rng);
-    (void)frontend.run(track, rng);
-    EXPECT_EQ(metrics.counter("frontend.unsat.scans")->value(), 1u);
-    EXPECT_EQ(metrics.counter("frontend.unsat.incremental")->value(),
-              1u);
-}
-
 /** The comparable surface of a HybridResult (A/B determinism). */
 void
 expectSameHybridResult(const HybridResult &a, const HybridResult &b)
@@ -234,9 +199,7 @@ TEST(FrontendFastPath, HybridResultIdenticalWithFastPathOnAndOff)
         HybridConfig slow = fast;
 
         fast.frontend.cache_embeddings = true;
-        fast.solver.incremental_clause_tracking = true;
         slow.frontend.cache_embeddings = false;
-        slow.solver.incremental_clause_tracking = false;
 
         const auto a = HybridSolver(fast).solve(cnf);
         const auto b = HybridSolver(slow).solve(cnf);

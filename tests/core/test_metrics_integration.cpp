@@ -242,7 +242,6 @@ TEST(MetricsIntegration, OneShotSolveWritesNoSessionKeys)
         "backend.strategy3", "backend.strategy4",
         "frontend.cache.evictions", "frontend.cache.hits",
         "frontend.cache.misses", "frontend.cache_s", "frontend.runs",
-        "frontend.unsat.incremental", "frontend.unsat.scans",
         "hybrid.cdcl_s", "hybrid.total_s", "hybrid.warmup_iterations",
         "pipeline.blocking_s", "pipeline.chain_breaks", "pipeline.device_s",
         "pipeline.frontend_s", "pipeline.harvested",

@@ -1,11 +1,52 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "sat/brute_force.h"
 #include "sat/solver.h"
 #include "tests/sat/helpers.h"
 
 namespace hyqsat::sat {
 namespace {
+
+/** Reference: scan original clause @p idx literal by literal. */
+bool
+satisfiedByScan(const Solver &solver, int idx)
+{
+    for (const Lit p : solver.originalClause(idx)) {
+        if (solver.value(p).isTrue())
+            return true;
+    }
+    return false;
+}
+
+std::vector<int>
+unsatisfiedByScan(const Solver &solver)
+{
+    std::vector<int> out;
+    for (int c = 0; c < solver.numOriginalClauses(); ++c) {
+        if (!satisfiedByScan(solver, c))
+            out.push_back(c);
+    }
+    return out;
+}
+
+/** Both solver views of the unsat set against the reference. */
+void
+expectMatchesScan(const Solver &solver, const std::string &where)
+{
+    std::vector<int> into{-1}; // stale content must be cleared
+    solver.unsatisfiedOriginalClausesInto(into);
+    const auto want = unsatisfiedByScan(solver);
+    EXPECT_EQ(into, want) << where;
+    EXPECT_EQ(solver.unsatisfiedOriginalClauses(), want) << where;
+    for (int c = 0; c < solver.numOriginalClauses(); ++c) {
+        ASSERT_EQ(solver.originalClauseSatisfiedNow(c),
+                  satisfiedByScan(solver, c))
+            << where << " clause " << c;
+    }
+}
 
 TEST(Solver, EmptyFormulaIsSat)
 {
@@ -378,6 +419,203 @@ TEST(Solver, RandomBranchingStillSound)
         ASSERT_FALSE(got.isUndef());
         EXPECT_EQ(got.isTrue(), expected) << "round " << round;
     }
+}
+
+TEST(Solver, UnsatisfiedClausesMatchScanThroughoutSearch)
+{
+    // Several random instances, each searched under a conflict
+    // budget so the trail sees deep assignments, conflicts and
+    // backtracking; the enumeration must match the reference at
+    // every sampled iteration.
+    for (const std::uint64_t seed : {11u, 22u, 33u, 44u}) {
+        Rng gen(seed);
+        const auto cnf =
+            testing::randomCnf(60, 250, 3, gen); // near 4.2 ratio
+        Solver solver;
+        ASSERT_TRUE(solver.loadCnf(cnf));
+
+        int checked = 0, iteration = 0;
+        solver.setIterationHook([&](Solver &s) {
+            if (++iteration % 7 != 0) // sample, checks are O(M·3)
+                return;
+            ++checked;
+            expectMatchesScan(s, "seed " + std::to_string(seed) +
+                                     " iteration " +
+                                     std::to_string(iteration));
+        });
+        solver.setConflictBudget(400);
+        (void)solver.solve();
+        EXPECT_GT(checked, 0) << "hook never sampled the search";
+    }
+}
+
+TEST(Solver, UnsatisfiedClausesMatchScanAfterSolveAndAcrossRestarts)
+{
+    // Short restart intervals on a phase-transition instance: the
+    // enumeration must match the reference on the first iteration
+    // after every restart and once the budgeted solves return.
+    Rng gen(5);
+    const auto cnf = testing::randomCnf(80, 340, 3, gen);
+    SolverOptions opts;
+    opts.restart_first = 4;
+    Solver solver(opts);
+    ASSERT_TRUE(solver.loadCnf(cnf));
+    std::uint64_t seen_restarts = 0;
+    solver.setIterationHook([&](Solver &s) {
+        if (s.stats().restarts == seen_restarts)
+            return;
+        seen_restarts = s.stats().restarts;
+        expectMatchesScan(s, "restart " + std::to_string(seen_restarts));
+    });
+    solver.setConflictBudget(1000);
+    const lbool first = solver.solve();
+    EXPECT_GT(seen_restarts, 0u) << "no restart inside the budget";
+    expectMatchesScan(solver, "after first solve");
+    // A second solve resumes from the retained root state.
+    solver.setConflictBudget(1000);
+    const lbool second = solver.solve();
+    if (!first.isUndef()) {
+        EXPECT_EQ(second, first);
+    }
+    expectMatchesScan(solver, "after second solve");
+}
+
+TEST(Solver, UnsatisfiedClausesMatchScanAfterAssumptionBacktracking)
+{
+    // Drive the trail directly with assumptions: every prefix of
+    // forced decisions ends in a solve() that backtracks to root
+    // through a full cancelUntil sweep.
+    Rng gen(9);
+    const auto cnf = testing::randomCnf(30, 100, 3, gen);
+    Solver solver;
+    ASSERT_TRUE(solver.loadCnf(cnf));
+    Rng pick(17);
+    for (int round = 0; round < 10; ++round) {
+        LitVec assumptions;
+        const int depth = 1 + static_cast<int>(pick.below(8));
+        for (int i = 0; i < depth; ++i) {
+            assumptions.push_back(
+                mkLit(static_cast<Var>(pick.below(30)),
+                      pick.chance(0.5)));
+        }
+        solver.setConflictBudget(50);
+        (void)solver.solveWithAssumptions(assumptions);
+        expectMatchesScan(solver, "round " + std::to_string(round));
+    }
+}
+
+TEST(Solver, AssumeSolveAddCyclesMatchScan)
+{
+    // The incremental-session usage pattern: alternating
+    // solveWithAssumptions calls (which retract their assumption
+    // levels on the way out) and root-level addClause calls against
+    // a non-empty level-0 trail, some of them re-registering an
+    // existing original index. The enumeration must match the
+    // reference after every step, and the solve answers must match a
+    // fresh solver over the accumulated formula.
+    Rng gen(21);
+    constexpr int kVars = 25;
+    Cnf accumulated(kVars);
+    Solver solver;
+    // Seed formula below the unsat threshold so later ADDs matter.
+    const auto seed_cnf = testing::randomCnf(kVars, 60, 3, gen);
+    for (int i = 0; i < seed_cnf.numClauses(); ++i)
+        accumulated.addClause(seed_cnf.clause(i));
+    ASSERT_TRUE(solver.loadCnf(seed_cnf));
+
+    Rng pick(23);
+    bool alive = true;
+    int reused = 0;
+    for (int step = 0; step < 40 && alive; ++step) {
+        const double dice = pick.uniform();
+        if (dice < 0.45) { // ASSUME + SOLVE
+            LitVec assumptions;
+            const int depth = 1 + static_cast<int>(pick.below(6));
+            for (int i = 0; i < depth; ++i) {
+                assumptions.push_back(
+                    mkLit(static_cast<Var>(pick.below(kVars)),
+                          pick.chance(0.5)));
+            }
+            const lbool got =
+                solver.solveWithAssumptions(assumptions);
+            Solver fresh;
+            ASSERT_TRUE(fresh.loadCnf(accumulated));
+            const lbool want =
+                fresh.solveWithAssumptions(assumptions);
+            EXPECT_EQ(got.isTrue(), want.isTrue())
+                << "step " << step;
+            EXPECT_EQ(got.isFalse(), want.isFalse())
+                << "step " << step;
+        } else if (dice < 0.7) { // plain SOLVE
+            (void)solver.solve();
+        } else { // ADD, under the next or a reused original index
+            LitVec clause;
+            const int len = 1 + static_cast<int>(pick.below(3));
+            for (int i = 0; i < len; ++i) {
+                clause.push_back(
+                    mkLit(static_cast<Var>(pick.below(kVars)),
+                          pick.chance(0.5)));
+            }
+            accumulated.addClause(clause);
+            const int n = solver.numOriginalClauses();
+            int index = n;
+            if (pick.chance(0.5)) {
+                index = static_cast<int>(pick.below(n));
+                ++reused;
+            }
+            alive = solver.addClause(clause, index);
+            if (alive) {
+                EXPECT_EQ(solver.originalClause(index), clause)
+                    << "step " << step;
+            }
+        }
+        expectMatchesScan(solver, "step " + std::to_string(step));
+    }
+    EXPECT_GT(reused, 0) << "no step re-registered an index";
+}
+
+TEST(Solver, SparseOriginalIndexGapsCountAsUnsatisfied)
+{
+    // Indices reserved by a sparse original_index but never given
+    // literals have no true literal, so they are always unsatisfied.
+    Solver solver;
+    const Var a = solver.newVar();
+    const Var b = solver.newVar();
+    ASSERT_TRUE(solver.addClause({mkLit(a)}, 0)); // root unit: a
+    ASSERT_TRUE(solver.addClause({mkLit(a), mkLit(b)}, 4));
+    ASSERT_EQ(solver.numOriginalClauses(), 5);
+    EXPECT_TRUE(solver.originalClause(2).empty());
+    EXPECT_EQ(solver.unsatisfiedOriginalClauses(),
+              (std::vector<int>{1, 2, 3}));
+    expectMatchesScan(solver, "after sparse adds");
+    // Filling a gap satisfies it like any other clause.
+    ASSERT_TRUE(solver.addClause({mkLit(b, true), mkLit(a)}, 2));
+    EXPECT_EQ(solver.unsatisfiedOriginalClauses(),
+              (std::vector<int>{1, 3}));
+    ASSERT_EQ(solver.solve(), l_True);
+    expectMatchesScan(solver, "after solve");
+}
+
+TEST(Solver, AddClauseOnNonEmptyRootTrailMatchesScan)
+{
+    // A clause registered after root units exist sees the already
+    // true/false literals exactly like the reference does.
+    Solver solver;
+    const Var a = solver.newVar();
+    const Var b = solver.newVar();
+    const Var c = solver.newVar();
+    ASSERT_TRUE(solver.addClause({mkLit(a)}, 0)); // root unit: a
+    ASSERT_TRUE(solver.value(a).isTrue());
+    // Satisfied by the trail at registration time.
+    ASSERT_TRUE(solver.addClause({mkLit(a), mkLit(b)}, 1));
+    EXPECT_TRUE(solver.originalClauseSatisfiedNow(1));
+    // Not satisfied: ~a is false, b/c unassigned.
+    ASSERT_TRUE(
+        solver.addClause({mkLit(a, true), mkLit(b), mkLit(c)}, 2));
+    EXPECT_FALSE(solver.originalClauseSatisfiedNow(2));
+    EXPECT_EQ(solver.unsatisfiedOriginalClauses(),
+              (std::vector<int>{2}));
+    expectMatchesScan(solver, "after root adds");
 }
 
 } // namespace

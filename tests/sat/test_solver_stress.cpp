@@ -2,13 +2,15 @@
  * @file
  * Stress and internals-exercising tests: clause-database reduction
  * and garbage collection under long runs, large-formula handling,
- * and interaction of budgets with restarts.
+ * interaction of budgets with restarts, and the ClauseArena 32-bit
+ * overflow guard.
  */
 
 #include <gtest/gtest.h>
 
 #include "gen/random_sat.h"
 #include "sat/brute_force.h"
+#include "sat/clause.h"
 #include "sat/solver.h"
 #include "tests/sat/helpers.h"
 
@@ -91,6 +93,61 @@ TEST(SolverStress, ManySmallSolvesNoStateLeak)
             reference = s.stats().conflicts;
         else
             EXPECT_EQ(s.stats().conflicts, reference);
+    }
+}
+
+// ---------------------------------------------------------------------
+// ClauseArena 32-bit overflow guard
+// ---------------------------------------------------------------------
+
+TEST(ClauseArena, WouldExceedTracksCapacityLimit)
+{
+    ClauseArena arena;
+    // 3-literal clause = 2 header words + 3 literal words.
+    arena.setCapacityLimitForTest(10);
+    const LitVec clause{mkLit(0), mkLit(1), mkLit(2)};
+    EXPECT_FALSE(arena.wouldExceed(clause.size()));
+    (void)arena.alloc(clause, false);
+    EXPECT_FALSE(arena.wouldExceed(clause.size())); // exactly fits
+    (void)arena.alloc(clause, false);
+    EXPECT_EQ(arena.size(), 10u);
+    EXPECT_TRUE(arena.wouldExceed(clause.size()));
+    EXPECT_TRUE(arena.wouldExceed(0));
+}
+
+TEST(ClauseArenaDeathTest, OverflowPanicsInsteadOfWrapping)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const LitVec clause{mkLit(0), mkLit(1), mkLit(2)};
+    EXPECT_DEATH(
+        {
+            ClauseArena arena;
+            arena.setCapacityLimitForTest(12);
+            for (int i = 0; i < 3; ++i)
+                (void)arena.alloc(clause, false);
+        },
+        "ClauseArena overflow");
+}
+
+TEST(ClauseArena, SearchReclaimsArenaViaGcUnderTightLimit)
+{
+    // A limit with headroom for learnt churn but far below what an
+    // unbounded search would allocate: the wouldExceed guard in
+    // search() must garbage-collect freed learnts instead of
+    // panicking, and the search must still terminate normally.
+    Rng gen(13);
+    const auto cnf = testing::randomCnf(50, 210, 3, gen);
+    Solver solver;
+    ASSERT_TRUE(solver.loadCnf(cnf));
+    // Original clauses use ~210 * 5 words; leave ~4000 words for the
+    // learnt database.
+    solver.setArenaCapacityLimitForTest(5000);
+    solver.setConflictBudget(4000);
+    const auto status = solver.solve();
+    EXPECT_FALSE(status.isUndef() && solver.stats().conflicts == 0);
+    if (status.isTrue()) {
+        const auto model = solver.boolModel();
+        EXPECT_TRUE(cnf.eval(model));
     }
 }
 

@@ -178,6 +178,7 @@ TEST(KnobTable, MalformedValuesRejectedOnBothSides)
              {"--sampler", "batch"},
              {"--sampler", "async:async"},
              {"--reads-batch"},
+             {"--incremental-tracking"},
              {"--depth"},
              {"--no-such-flag"},
              {"-x"},
@@ -250,15 +251,13 @@ TEST(CommandLine, BareFlagsAndOperands)
     HybridConfig cfg;
     std::vector<std::string> operands;
     ASSERT_TRUE(parseCli({"a.cnf", "--noisy", "b.cnf", "--simplify",
-                          "--no-frontend-cache", "--incremental-tracking",
-                          "c.cnf"},
+                          "--no-frontend-cache", "c.cnf"},
                          cfg, Scope::Solo, &operands));
     EXPECT_EQ(operands,
               (std::vector<std::string>{"a.cnf", "b.cnf", "c.cnf"}));
     EXPECT_GT(cfg.annealer.noise.coefficient_sigma, 0.0);
     EXPECT_EQ(cfg.simplify_strength, simplify::Strength::Light);
     EXPECT_FALSE(cfg.frontend.cache_embeddings);
-    EXPECT_TRUE(cfg.solver.incremental_clause_tracking);
 
     HybridConfig full;
     ASSERT_TRUE(parseCli({"--simplify", "full"}, full));
@@ -281,6 +280,7 @@ TEST(CommandLine, UsageListsEveryFlag)
               std::string::npos);
     EXPECT_NE(usage.find("[--num-reads N]"), std::string::npos);
     EXPECT_EQ(usage.find("reads-groups"), std::string::npos);
+    EXPECT_EQ(usage.find("incremental-tracking"), std::string::npos);
     EXPECT_NE(usage.find("[--noisy]"), std::string::npos);
     EXPECT_NE(usage.find("[--sampler sync|logical|sa|async|async:NAME]"),
               std::string::npos);
