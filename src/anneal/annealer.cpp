@@ -85,6 +85,7 @@ addStats(SaStats &into, const SaStats &s)
     into.flips_accepted += s.flips_accepted;
     into.reads += s.reads;
     into.read_groups += s.read_groups;
+    into.stopped |= s.stopped;
 }
 
 /** Rewrite a coupling op's endpoints to the edge's CSR twin slots. */
@@ -323,6 +324,7 @@ QuantumAnnealer::run(const qubo::EncodedProblem &problem,
     sa.beta_end = opts_.noise.beta_final;
     sa.greedy_finish = opts_.greedy_finish;
     sa.num_reads = opts_.num_reads;
+    sa.stop = stop_;
 
     const std::vector<int> &spin_node = cp->spin_node;
     bool have_best = false;
@@ -330,6 +332,10 @@ QuantumAnnealer::run(const qubo::EncodedProblem &problem,
          ++attempt) {
         SaResult result = sampler.sample(sa, rng_);
         addStats(run_stats_, result.stats);
+        if (result.stats.stopped) {
+            out.stopped = true;
+            return out;
+        }
 
         // Readout error flips individual physical qubits.
         if (opts_.noise.readout_flip_prob > 0.0) {

@@ -27,6 +27,7 @@
 #include "embed/compiled_slot.h"
 #include "embed/embedding.h"
 #include "qubo/encoder.h"
+#include "util/cancel.h"
 #include "util/rng.h"
 
 namespace hyqsat::anneal {
@@ -70,6 +71,14 @@ struct AnnealSample
 
     /** Modeled device wall-clock for this sample (microseconds). */
     double device_time_us = 0.0;
+
+    /**
+     * The stop token tripped mid-anneal (QuantumAnnealer::
+     * setStopToken). The bits are NOT a sample — the default
+     * clause_energy 0.0 would read as "all satisfied" — so consumers
+     * must drop it (SamplePipeline counts it as stopped_discarded).
+     */
+    bool stopped = false;
 };
 
 /** Simulated quantum annealer. */
@@ -138,6 +147,14 @@ class QuantumAnnealer
     AnnealSample sampleLogical(const qubo::EncodedProblem &problem,
                                const embed::CompiledSlot *slot = nullptr);
 
+    /**
+     * Cooperative stop token (nullptr = none; not owned), polled once
+     * per SA sweep and greedy pass. The first stopped attempt ends
+     * the sample with AnnealSample::stopped set. An untripped token
+     * leaves bits and the RNG stream unchanged.
+     */
+    void setStopToken(const StopToken *stop) { stop_ = stop; }
+
     /** Access the RNG (e.g. to reseed between experiments). */
     Rng &rng() { return rng_; }
 
@@ -186,6 +203,7 @@ class QuantumAnnealer
     Options opts_;
     Rng rng_;
     SaStats run_stats_;
+    const StopToken *stop_ = nullptr;
 
     /** Per-sample noisy coefficient buffers (capacity reused). */
     std::vector<double> noisy_h_;

@@ -147,6 +147,8 @@ runLockstepScalar(BatchCtx &ctx)
     };
 
     for (int sweep = 0; sweep < ctx.sweeps; ++sweep) {
+        if (stopAt(ctx, sweep))
+            return;
         const double beta = ctx.betas[sweep];
         for (int i = 0; i < n; ++i) {
             flipDeltas(i);
@@ -164,6 +166,8 @@ runLockstepScalar(BatchCtx &ctx)
         bool improved = true;
         int guard = 0;
         while (improved && guard++ < 4 * n) {
+            if (stopAt(ctx, ctx.sweeps))
+                return;
             improved = false;
             for (int i = 0; i < n; ++i) {
                 flipDeltas(i);
@@ -294,6 +298,8 @@ runLockstepGroup(const SaCompiled &compiled, const double *h,
     ctx.sweeps = sweeps;
     ctx.greedy = opts.greedy_finish;
     ctx.rng = &stream;
+    ctx.stop = opts.stop;
+    ctx.sweeps_done = sweeps;
     ctx.delta = delta;
     ctx.uniforms = uniforms;
     ctx.tmp = tmp;
@@ -354,11 +360,12 @@ runLockstepGroup(const SaCompiled &compiled, const double *h,
         SaResult &res = out[static_cast<std::size_t>(r)];
         res.spins = s8;
         res.energy = compiled.csr.energyWith(s8.data(), h, w);
-        res.stats.sweeps = static_cast<std::uint64_t>(sweeps);
+        res.stats.sweeps = static_cast<std::uint64_t>(ctx.sweeps_done);
         res.stats.flips_attempted = ctx.attempts;
         res.stats.flips_accepted = static_cast<std::uint64_t>(
             accepted[static_cast<std::size_t>(r)]);
         res.stats.reads = 1;
+        res.stats.stopped = ctx.stopped;
     }
     return out;
 }

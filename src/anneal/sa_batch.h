@@ -163,6 +163,11 @@ lockstepGroupSeed(std::uint64_t base, int group)
  * WHERE a group runs, never what it computes, so results are
  * bit-identical for any pool size including a dedicated
  * WorkPool(0).
+ *
+ * Every kernel polls opts.stop before each sweep and each greedy
+ * pass (no draw, so an untripped token changes nothing); a stopped
+ * group returns its half-annealed reads with stats.stopped set and
+ * stats.sweeps the sweeps it ran.
  */
 std::vector<SaResult> sampleLockstep(const SaCompiled &compiled,
                                      const double *h, const double *w,

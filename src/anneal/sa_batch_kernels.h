@@ -25,6 +25,7 @@
 
 #include "anneal/sa_batch.h"
 #include "anneal/sa_sampler.h"
+#include "util/cancel.h"
 
 namespace hyqsat::anneal::detail {
 
@@ -103,6 +104,9 @@ struct BatchCtx
 
     BlockRng *rng = nullptr; ///< shared Metropolis stream
 
+    /** Polled once per sweep and greedy pass; nullptr = none. */
+    const StopToken *stop = nullptr;
+
     // Per-lane scratch, all `lanes` wide.
     double *delta = nullptr;
     double *uniforms = nullptr;
@@ -113,7 +117,26 @@ struct BatchCtx
     double *accepted = nullptr;  ///< per-lane acceptance counts
     std::uint64_t attempts = 0;  ///< proposals seen (per lane; equal
                                  ///< across lanes by lockstep)
+    int sweeps_done = 0;         ///< sweeps run (< sweeps if stopped)
+    bool stopped = false;        ///< the stop token ended the run
 };
+
+/**
+ * Cancellation point of every kernel, polled before each sweep
+ * (@p sweep = sweeps completed so far) and before each greedy pass
+ * (@p sweep = ctx.sweeps): one relaxed load when a token is set,
+ * nothing drawn. On a trip it latches ctx.stopped and the sweep
+ * count, and the kernel returns with its state half-annealed.
+ */
+static inline bool
+stopAt(BatchCtx &ctx, int sweep)
+{
+    if (ctx.stop == nullptr || !ctx.stop->stopRequested())
+        return false;
+    ctx.stopped = true;
+    ctx.sweeps_done = sweep;
+    return true;
+}
 
 /**
  * Exact-exp fixup for the rare lanes whose uniform landed BETWEEN

@@ -151,6 +151,8 @@ runLockstepNeon(BatchCtx &ctx)
     };
 
     for (int sweep = 0; sweep < ctx.sweeps; ++sweep) {
+        if (stopAt(ctx, sweep))
+            return;
         const double beta = ctx.betas[sweep];
         for (int i = 0; i < n; ++i) {
             flipDeltas(i);
@@ -168,6 +170,8 @@ runLockstepNeon(BatchCtx &ctx)
         bool improved = true;
         int guard = 0;
         while (improved && guard++ < 4 * n) {
+            if (stopAt(ctx, ctx.sweeps))
+                return;
             improved = false;
             for (int i = 0; i < n; ++i) {
                 flipDeltas(i);

@@ -282,8 +282,11 @@ SaSampler::runChain(const SaOptions &opts, Rng &rng) const
     stats.reads = 1;
 
     const ScheduleMemo &schedule = scheduleFor(opts);
-    stats.sweeps = schedule.betas.size();
     for (std::size_t sweep = 0; sweep < schedule.betas.size(); ++sweep) {
+        if (opts.stopRequested()) { // cancellation point
+            stats.stopped = true;
+            break;
+        }
         const double beta = schedule.betas[sweep];
         const double max_delta = schedule.max_delta[sweep];
         for (int i = 0; i < n; ++i) {
@@ -327,12 +330,17 @@ SaSampler::runChain(const SaOptions &opts, Rng &rng) const
                 }
             }
         }
+        ++stats.sweeps;
     }
 
-    if (opts.greedy_finish) {
+    if (opts.greedy_finish && !stats.stopped) {
         bool improved = true;
         int guard = 0;
         while (improved && guard++ < 4 * n) {
+            if (opts.stopRequested()) {
+                stats.stopped = true;
+                break;
+            }
             improved = false;
             for (int i = 0; i < n; ++i) {
                 double delta = inc.flipDelta(i);
@@ -402,6 +410,7 @@ SaSampler::sampleAll(const SaOptions &opts, Rng &rng) const
         total.sweeps += r.stats.sweeps;
         total.flips_attempted += r.stats.flips_attempted;
         total.flips_accepted += r.stats.flips_accepted;
+        total.stopped |= r.stats.stopped;
     }
     std::stable_sort(out.begin(), out.end(),
                      [](const SaResult &a, const SaResult &b) {

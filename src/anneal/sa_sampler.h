@@ -32,6 +32,11 @@
  * seeds the whole run, and results are bit-identical across ISAs and
  * pool sizes. Read 0 is NOT the num_reads=1 sample; only num_reads=1
  * stays on the frozen scalar contract above.
+ *
+ * Cancellation: SaOptions::stop is polled once per sweep and once per
+ * greedy-finish pass on both paths, so a cancelled caller waits at
+ * most one sweep, not one sample. The check draws nothing; an
+ * untripped token keeps both contracts above bit for bit.
  */
 
 #ifndef HYQSAT_ANNEAL_SA_SAMPLER_H
@@ -43,6 +48,7 @@
 
 #include "qubo/csr.h"
 #include "qubo/qubo.h"
+#include "util/cancel.h"
 #include "util/rng.h"
 
 namespace hyqsat::anneal {
@@ -85,16 +91,33 @@ struct SaOptions
      * counts (see sa_batch.h). Ignored at num_reads = 1.
      */
     int reads_groups = 0;
+
+    /**
+     * Cooperative stop token (nullptr = none), polled once per sweep
+     * and once per greedy-finish pass: one relaxed load, no RNG
+     * draw, so a token that never trips leaves results and the RNG
+     * stream bit-identical. A tripped run ends at that boundary with
+     * SaStats::stopped set; its spins are not a sample.
+     */
+    const StopToken *stop = nullptr;
+
+    /** Whether the stop token has tripped. */
+    bool
+    stopRequested() const
+    {
+        return stop != nullptr && stop->stopRequested();
+    }
 };
 
 /** Work counters for one sample (observability; see MetricsRegistry). */
 struct SaStats
 {
-    std::uint64_t sweeps = 0;
+    std::uint64_t sweeps = 0; ///< sweeps run (fewer when stopped)
     std::uint64_t flips_attempted = 0; ///< single-spin + group proposals
     std::uint64_t flips_accepted = 0;
     std::uint64_t reads = 0;       ///< chains run
     std::uint64_t read_groups = 0; ///< parallel lockstep groups run
+    bool stopped = false; ///< SaOptions::stop ended the run early
 };
 
 /** One sample. */

@@ -81,11 +81,13 @@ SyncSampler::wait(std::vector<SampleCompletion> &out)
 
 QaSampler::QaSampler(const chimera::ChimeraGraph &graph,
                      QuantumAnnealer::Options opts, std::string name,
-                     bool force_logical, MetricsRegistry *metrics)
+                     bool force_logical, MetricsRegistry *metrics,
+                     const StopToken *stop)
     : annealer_(graph, opts), name_(std::move(name)),
       force_logical_(force_logical),
       metrics_(AnnealMetrics::resolve(metrics))
 {
+    annealer_.setStopToken(stop);
 }
 
 AnnealSample
@@ -144,7 +146,7 @@ makeSampler(const SamplerSpec &spec, const chimera::ChimeraGraph &graph)
         }
         return std::make_unique<QaSampler>(graph, opts, name,
                                            /*force_logical=*/name != "sync",
-                                           spec.metrics);
+                                           spec.metrics, spec.stop);
     }
     // The only names left are "async" and "async:<inner>".
     SamplerSpec inner_spec = spec;

@@ -185,7 +185,8 @@ class SyncSampler : public Sampler
  * request's embedding (or the logical device when the request asks
  * for it); force_logical pins the ideal all-to-all device regardless
  * of the request ("logical", and "sa": the same device with its
- * noise stripped).
+ * noise stripped). @p stop (nullptr = none) reaches every SA sweep
+ * (QuantumAnnealer::setStopToken).
  */
 class QaSampler : public SyncSampler
 {
@@ -193,7 +194,8 @@ class QaSampler : public SyncSampler
     QaSampler(const chimera::ChimeraGraph &graph,
               QuantumAnnealer::Options opts, std::string name = "sync",
               bool force_logical = false,
-              MetricsRegistry *metrics = nullptr);
+              MetricsRegistry *metrics = nullptr,
+              const StopToken *stop = nullptr);
 
     const char *name() const override { return name_.c_str(); }
 
@@ -227,8 +229,11 @@ struct SamplerSpec
     int pipeline_depth = 2;
 
     /**
-     * Cooperative stop token observed by async backends' blocking
-     * wait() (see AsyncSampler::Options::stop); nullptr = none.
+     * Cooperative stop token; nullptr = none. Every backend's anneal
+     * polls it once per SA sweep and greedy pass (a stopped sample
+     * comes back with AnnealSample::stopped set and must be dropped),
+     * and async backends also observe it in their blocking wait()
+     * and drop queued jobs (see AsyncSampler::Options::stop).
      */
     const StopToken *stop = nullptr;
 

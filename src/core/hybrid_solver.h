@@ -116,9 +116,13 @@ struct HybridConfig
 
     /**
      * Cooperative stop token observed at every CDCL decision /
-     * conflict boundary and at the sampler's blocking wait points.
-     * A racing portfolio shares one token across workers; solve()
-     * returns l_Undef shortly after it trips. Never written here.
+     * conflict boundary, at every SA sweep and greedy pass of the
+     * sampler's anneal (a stopped sample is dropped by the pipeline,
+     * never applied) and at async samplers' blocking wait points.
+     * A racing portfolio shares one token across workers, the
+     * service's SessionManager one across its sessions; solve()
+     * returns l_Undef within one sweep or decision after it trips.
+     * Never written here.
      */
     const StopToken *stop = nullptr;
 

@@ -33,6 +33,7 @@ SamplePipeline::SamplePipeline(const Frontend &frontend,
     m_submitted_ = metrics->counter("pipeline.submitted");
     m_harvested_ = metrics->counter("pipeline.harvested");
     m_stale_ = metrics->counter("pipeline.stale_discarded");
+    m_stopped_ = metrics->counter("pipeline.stopped_discarded");
     m_stalls_ = metrics->counter("pipeline.stalls");
     m_chain_breaks_ = metrics->counter("pipeline.chain_breaks");
     m_frontend_s_ = metrics->timer("pipeline.frontend");
@@ -53,6 +54,7 @@ SamplePipeline::stats() const
     s.submitted = static_cast<int>(m_submitted_->value());
     s.harvested = static_cast<int>(m_harvested_->value());
     s.stale_discarded = static_cast<int>(m_stale_->value());
+    s.stopped_discarded = static_cast<int>(m_stopped_->value());
     s.stalls = static_cast<int>(m_stalls_->value());
     s.chain_breaks = static_cast<int>(m_chain_breaks_->value());
     s.frontend_s = m_frontend_s_->seconds();
@@ -171,7 +173,9 @@ SamplePipeline::harvest(std::uint64_t epoch,
                 completion.sample.chain_breaks));
         }
 
-        if (it->epoch != epoch || ready == nullptr) {
+        if (completion.sample.stopped) {
+            m_stopped_->add(); // half-annealed: not a sample
+        } else if (it->epoch != epoch || ready == nullptr) {
             m_stale_->add();
         } else {
             ready->push_back(ReadySample{

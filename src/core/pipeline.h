@@ -43,6 +43,7 @@ struct PipelineStats
     int submitted = 0;       ///< jobs handed to the sampler
     int harvested = 0;       ///< completions received back
     int stale_discarded = 0; ///< harvested at a newer epoch
+    int stopped_discarded = 0; ///< anneal cut short by the stop token
     int stalls = 0;          ///< submit wanted, pipeline full
 
     double frontend_s = 0.0;    ///< queue + encode + embed host time
@@ -80,7 +81,9 @@ class SamplePipeline
      * frontend cache when @p epoch moved, submit a job if the
      * sampler has capacity (a full pipeline counts a stall), then
      * harvest. Fresh completions are appended to @p ready; stale
-     * ones are discarded and counted.
+     * ones are discarded and counted, and so are stopped ones
+     * (AnnealSample::stopped: a half-annealed state the backend
+     * must never see).
      */
     void step(const sat::Solver &solver, std::uint64_t epoch,
               std::vector<ReadySample> &ready);
@@ -136,6 +139,7 @@ class SamplePipeline
     Counter *m_submitted_;
     Counter *m_harvested_;
     Counter *m_stale_;
+    Counter *m_stopped_;
     Counter *m_stalls_;
     Counter *m_chain_breaks_;
     MetricTimer *m_frontend_s_;

@@ -37,6 +37,8 @@ pipelineDelta(const PipelineStats &after, const PipelineStats &before)
     d.submitted = after.submitted - before.submitted;
     d.harvested = after.harvested - before.harvested;
     d.stale_discarded = after.stale_discarded - before.stale_discarded;
+    d.stopped_discarded =
+        after.stopped_discarded - before.stopped_discarded;
     d.stalls = after.stalls - before.stalls;
     d.frontend_s = after.frontend_s - before.frontend_s;
     d.host_sample_s = after.host_sample_s - before.host_sample_s;

@@ -177,6 +177,10 @@ Server::stop()
         accept_thread_.join();
     closeListener();
 
+    // A connection thread inside an inline session SOLVE never reads
+    // its socket again until the solve returns: cancel it first.
+    if (sessions_)
+        sessions_->drain(DrainPolicy::CancelPending);
     {
         std::lock_guard<std::mutex> lock(conn_mutex_);
         for (const int fd : conn_fds_)
@@ -301,7 +305,7 @@ Server::serveConnection(int fd)
         case Verb::Shutdown:
             sendLine(fd, "OK shutdown");
             if (sessions_)
-                sessions_->drain();
+                sessions_->drain(req.drain_policy);
             if (on_shutdown_)
                 on_shutdown_(req.drain_policy);
             break;

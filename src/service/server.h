@@ -6,8 +6,9 @@
  * connection; SUBMIT bodies are parsed straight from the socket
  * buffer into memory — no temp files anywhere on the hot path.
  *
- * Shutdown discipline: stop() wakes the accept loop, shuts every
- * live connection and joins all threads. The scheduler is NOT owned
+ * Shutdown discipline: stop() wakes the accept loop, cancels any
+ * in-flight session SOLVE (SessionManager::drain(CancelPending)),
+ * shuts every live connection and joins all threads. The scheduler is NOT owned
  * — the daemon drains it first (so blocked WAITs resolve), then
  * stops the server.
  */
@@ -71,7 +72,10 @@ class Server
     /** Bind + listen + start the accept loop. False on bind error. */
     bool start();
 
-    /** Stop accepting, close every connection, join all threads. */
+    /**
+     * Stop accepting, cancel in-flight session SOLVEs, close every
+     * connection, join all threads.
+     */
     void stop();
 
     /** Bound TCP port (after start(); 0 for unix sockets). */
@@ -95,7 +99,8 @@ class Server
      * Enable the incremental-session verbs (OPEN/ADD/ASSUME/SOLVE/
      * CORE/CLOSE) against @p sessions, which must outlive the
      * server. Without this the verbs answer `ERR sessions disabled`.
-     * A client SHUTDOWN also drains the manager (no new opens).
+     * A client SHUTDOWN also drains the manager with its policy
+     * (no new opens; `cancel` ends in-flight SOLVEs too).
      */
     void attachSessions(SessionManager *sessions)
     {

@@ -57,6 +57,7 @@ SessionManager::SessionManager(SessionManagerOptions opts)
     // writer of the service-level session.* keys (no double count
     // when a closing session merges its internals).
     opts_.hybrid.metrics = nullptr;
+    opts_.hybrid.stop = &stop_;
     if (opts_.metrics) {
         m_opened_ = opts_.metrics->counter("session.opened");
         m_closed_ = opts_.metrics->counter("session.closed");
@@ -231,10 +232,12 @@ SessionManager::close(SessionId sid)
 }
 
 void
-SessionManager::drain()
+SessionManager::drain(DrainPolicy policy)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     draining_ = true;
+    if (policy == DrainPolicy::CancelPending)
+        stop_.requestStop();
 }
 
 bool

@@ -11,6 +11,12 @@
  * serialize. SOLVE runs inline on the calling connection thread —
  * sessions are interactive state, not queued batch work.
  *
+ * Shutdown: every session's HybridConfig::stop points at the
+ * manager's own StopToken, so drain(CancelPending) ends an inline
+ * SOLVE in flight on any connection thread within one SA sweep or
+ * CDCL decision (it answers UNKNOWN) — Server::stop() relies on it
+ * before joining those threads.
+ *
  * Metrics invariant (tested, asserted by CI): session.opened ==
  * session.closed + session.active at any quiescent point; the
  * destructor force-closes stragglers so the invariant also holds
@@ -31,6 +37,7 @@
 #include "core/session.h"
 #include "service/job.h"
 #include "service/report.h"
+#include "util/cancel.h"
 
 namespace hyqsat::service {
 
@@ -41,7 +48,8 @@ using SessionId = std::uint64_t;
 struct SessionManagerOptions
 {
     /** Base hybrid configuration each session copies. Its metrics
-     *  pointer is ignored — the manager owns observability. */
+     *  pointer is ignored — the manager owns observability — and its
+     *  stop pointer is replaced by the manager's token. */
     core::HybridConfig hybrid;
 
     /** Global cap on concurrently open sessions; 0 = unbounded. */
@@ -114,9 +122,14 @@ class SessionManager
     /** Release the session. False for an unknown sid. */
     bool close(SessionId sid);
 
-    /** Reject further opens ("draining"); live sessions keep
-     *  serving until closed. */
-    void drain();
+    /**
+     * Reject further opens ("draining"). FinishQueued lets live
+     * sessions keep serving until closed; CancelPending also trips
+     * the sessions' stop token, so an in-flight SOLVE returns
+     * UNKNOWN within one SA sweep or CDCL decision and every later
+     * SOLVE answers UNKNOWN at once.
+     */
+    void drain(DrainPolicy policy);
 
     bool draining() const;
 
@@ -138,6 +151,9 @@ class SessionManager
     void closeLocked(SessionId sid);
 
     SessionManagerOptions opts_;
+
+    /** Shared by every session's HybridConfig::stop. */
+    StopToken stop_;
 
     mutable std::mutex mutex_;
     bool draining_ = false;

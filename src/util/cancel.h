@@ -2,15 +2,18 @@
  * @file
  * Cooperative cancellation primitive shared by every layer that can
  * block or loop for a long time: the CDCL search (decision and
- * conflict boundaries), the hybrid loop's sampling pipeline, the
- * async sampler's wait points and the portfolio racing layer.
+ * conflict boundaries), the simulated anneal (every SA sweep and
+ * greedy-finish pass, scalar and lockstep kernels alike), the hybrid
+ * loop's sampling pipeline (which drops a stopped, half-annealed
+ * sample instead of applying it), the async sampler's wait points,
+ * the portfolio racing layer and the service's session drain.
  *
  * A StopToken is a single atomic flag. Owners call requestStop();
  * observers poll stopRequested() at their natural loop boundaries —
  * nothing is interrupted mid-operation, which keeps every data
  * structure consistent and makes cancellation latency the length of
- * one loop body (microseconds for CDCL, one poll interval for a
- * blocked sampler wait).
+ * one loop body (microseconds for CDCL, one sweep for an anneal, one
+ * poll interval for a blocked sampler wait).
  */
 
 #ifndef HYQSAT_UTIL_CANCEL_H

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <thread>
@@ -20,8 +21,14 @@ namespace {
 class SlowSampler : public SyncSampler
 {
   public:
-    explicit SlowSampler(std::chrono::milliseconds per_sample)
-        : per_sample_(per_sample)
+    /**
+     * @p computed (optional) counts compute() calls; while @p hold
+     * (optional) is set, a started compute() waits before its sleep.
+     */
+    explicit SlowSampler(std::chrono::milliseconds per_sample,
+                         std::atomic<int> *computed = nullptr,
+                         const std::atomic<bool> *hold = nullptr)
+        : per_sample_(per_sample), computed_(computed), hold_(hold)
     {
     }
 
@@ -31,12 +38,18 @@ class SlowSampler : public SyncSampler
     AnnealSample
     compute(const SampleRequest &) override
     {
+        if (computed_)
+            computed_->fetch_add(1);
+        while (hold_ && hold_->load())
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
         std::this_thread::sleep_for(per_sample_);
         return AnnealSample{};
     }
 
   private:
     std::chrono::milliseconds per_sample_;
+    std::atomic<int> *computed_;
+    const std::atomic<bool> *hold_;
 };
 
 TEST(AsyncSamplerCancel, DestructionRacesStrandRetirement)
@@ -103,18 +116,23 @@ TEST(AsyncSamplerCancel, QueuedJobsDroppedAfterStop)
     opts.depth = 4;
     opts.stop = &stop;
 
-    constexpr auto kSlow = std::chrono::milliseconds(100);
-    AsyncSampler sampler(std::make_unique<SlowSampler>(kSlow), opts);
+    // The first job is held inside compute() until the token has
+    // tripped, so exactly one job is in progress and three queued
+    // when the stop lands, however the threads are scheduled.
+    constexpr auto kSlow = std::chrono::milliseconds(10);
+    std::atomic<int> computed{0};
+    std::atomic<bool> hold{true};
+    AsyncSampler sampler(
+        std::make_unique<SlowSampler>(kSlow, &computed, &hold), opts);
     for (int i = 0; i < 4; ++i)
         sampler.submit(SampleRequest{});
+    while (computed.load() == 0)
+        std::this_thread::yield();
     stop.requestStop();
+    hold.store(false);
 
-    Timer timer;
     std::vector<SampleCompletion> out;
     sampler.wait(out);
-    // At most the one already-started sample is paid for; the three
-    // queued jobs must be dropped, not computed (4 x 100 ms).
-    EXPECT_LT(timer.seconds(), 0.3);
     EXPECT_LE(out.size(), 1u);
 
     // Dropped jobs retire from inFlight() too: once the started job
@@ -127,6 +145,10 @@ TEST(AsyncSamplerCancel, QueuedJobsDroppedAfterStop)
     }
     EXPECT_EQ(sampler.inFlight(), 0);
     EXPECT_LE(out.size(), 1u);
+    // Only the job the worker started before the trip was computed;
+    // the three queued behind it were dropped. (A count, not a wall
+    // clock bound: it holds on a loaded machine too.)
+    EXPECT_EQ(computed.load(), 1);
 }
 
 TEST(AsyncSamplerCancel, NoTokenStillBlocksUntilCompletion)

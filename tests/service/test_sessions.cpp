@@ -17,6 +17,7 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -209,7 +210,7 @@ TEST(SessionManager, DrainRejectsOpensButServesLiveSessions)
     ASSERT_TRUE(open.accepted);
     EXPECT_EQ(manager.add(open.id, "1 2 0\n"), "");
 
-    manager.drain();
+    manager.drain(DrainPolicy::FinishQueued);
     EXPECT_TRUE(manager.draining());
     const OpenResult rejected = manager.open("acme");
     EXPECT_FALSE(rejected.accepted);
@@ -502,6 +503,117 @@ TEST(ServiceSessions, ShutdownVerbDrainsTheManager)
     EXPECT_TRUE(asked.load());
     EXPECT_TRUE(stack.sessions.draining());
     EXPECT_EQ(client.exchange("OPEN late"), "REJECTED draining");
+}
+
+/**
+ * Pigeonhole PHP(holes + 1, holes) as 3-SAT DIMACS clause lines:
+ * exponential for resolution (so for CDCL), hence a solve that only
+ * a cancellation ends. "Pigeon p sits somewhere" is chained into
+ * 3-literal clauses through fresh variables; "no two pigeons share a
+ * hole" is binary.
+ */
+std::string
+pigeonholeDimacs(int holes)
+{
+    const int pigeons = holes + 1;
+    const auto var = [holes](int p, int h) {
+        return std::to_string(p * holes + h + 1);
+    };
+    int next_aux = pigeons * holes + 1;
+    std::string out;
+    for (int p = 0; p < pigeons; ++p) {
+        // x0 | x1 | ... | x_{k-1} split as (x0 x1 y1) (-y1 x2 y2) ...
+        std::string carry = var(p, 0);
+        for (int h = 1; h + 1 < holes; ++h) {
+            const std::string aux = std::to_string(next_aux++);
+            out += carry + " " + var(p, h) + " " + aux + " 0\n";
+            carry = "-" + aux;
+        }
+        out += carry + " " + var(p, holes - 1) + " 0\n";
+    }
+    for (int h = 0; h < holes; ++h)
+        for (int p1 = 0; p1 < pigeons; ++p1)
+            for (int p2 = p1 + 1; p2 < pigeons; ++p2)
+                out += "-" + var(p1, h) + " -" + var(p2, h) + " 0\n";
+    return out;
+}
+
+TEST(ServiceSessions, CancelPendingDrainEndsAnInflightSolve)
+{
+    // A hard SOLVE runs inline on its caller's thread; a
+    // CancelPending drain from another thread must end it (UNKNOWN)
+    // through the sessions' stop token, and later SOLVEs answer
+    // UNKNOWN at once. Nothing here bounds wall time: without the
+    // token the solve would not return at all.
+    MetricsRegistry registry;
+    SessionManagerOptions opts = smallSessionOptions();
+    opts.metrics = &registry;
+    SessionManager manager(opts);
+    const OpenResult open = manager.open("acme");
+    ASSERT_TRUE(open.accepted);
+    ASSERT_EQ(manager.add(open.id, pigeonholeDimacs(12)), "");
+
+    std::atomic<bool> started{false};
+    std::optional<InstanceRecord> rec;
+    std::thread solver([&] {
+        started.store(true);
+        rec = manager.solve(open.id);
+    });
+    while (!started.load())
+        std::this_thread::yield();
+    ::usleep(20000); // let the solve get going; not asserted on
+    manager.drain(DrainPolicy::CancelPending);
+    solver.join();
+
+    ASSERT_TRUE(rec.has_value());
+    EXPECT_EQ(rec->status, "UNKNOWN");
+    EXPECT_TRUE(manager.draining());
+    const auto again = manager.solve(open.id);
+    ASSERT_TRUE(again.has_value());
+    EXPECT_EQ(again->status, "UNKNOWN");
+
+    EXPECT_EQ(registry.counter("session.opened")->value(),
+              registry.counter("session.closed")->value() +
+                  static_cast<std::uint64_t>(
+                      registry.gauge("session.active")->value()));
+    EXPECT_TRUE(manager.close(open.id));
+    EXPECT_EQ(registry.counter("session.opened")->value(),
+              registry.counter("session.closed")->value() +
+                  static_cast<std::uint64_t>(
+                      registry.gauge("session.active")->value()));
+}
+
+TEST(ServiceSessions, ServerStopCancelsAnInflightSolve)
+{
+    // Server::stop() joins every connection thread; one of them is
+    // inside a hard inline SOLVE, which stop() must cancel first or
+    // the join would wait for the solve.
+    SessionStack stack;
+    ASSERT_TRUE(stack.server.start());
+    SessionClient client;
+    ASSERT_TRUE(client.connectUnix(stack.socket_path));
+    const JobId sid = client.open("acme");
+    ASSERT_NE(sid, 0u);
+    ASSERT_EQ(client.add(sid, pigeonholeDimacs(12)),
+              "OK " + std::to_string(sid));
+
+    std::string reply;
+    std::thread caller([&] {
+        reply = client.exchange("SOLVE " + std::to_string(sid));
+    });
+    ::usleep(20000); // let the SOLVE get going; not asserted on
+    stack.scheduler.shutdown(DrainPolicy::CancelPending);
+    stack.server.stop();
+    caller.join();
+
+    // Either the UNKNOWN result made it out before the socket shut,
+    // or the connection closed under the reply.
+    if (reply != "<dead>") {
+        const auto result = parseResult(reply);
+        ASSERT_TRUE(result.has_value()) << reply;
+        EXPECT_EQ(result->second.status, "UNKNOWN");
+    }
+    EXPECT_TRUE(stack.sessions.draining());
 }
 
 TEST(ServiceSessions, ConcurrentTenantsSolveInParallel)
